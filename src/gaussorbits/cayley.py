@@ -90,6 +90,7 @@ class ProjectionDatum:
     gamma_norms: tuple[Fraction, ...]
     projected_roots: dict[Projected, int] = field(compare=False)
     preimages: dict[Projected, frozenset[RootVec]] = field(compare=False)
+    length_labels: dict[Fraction, str] = field(compare=False)
     projected_type: RootSystemType = field(default=None, compare=False)
 
     def preimage(self, value: Projected) -> frozenset[RootVec]:
@@ -102,13 +103,7 @@ class ProjectionDatum:
         return tuple(sorted(v for v in self.projected_roots if v > zero))
 
     def projected_class(self, value: Projected) -> str:
-        lengths = sorted(
-            {projected_inner(v, v, self.gamma_norms) for v in self.projected_roots},
-            reverse=True,
-        )
-        labels = {1: ("long",), 2: ("long", "short"), 3: ("long", "middle", "short")}
-        table = dict(zip(lengths, labels[len(lengths)]))
-        return table[projected_inner(value, value, self.gamma_norms)]
+        return self.length_labels[projected_inner(value, value, self.gamma_norms)]
 
 
 def _identify_type(values: set[Projected], gamma_norms) -> RootSystemType:
@@ -199,12 +194,11 @@ def restricted_from_projection(system: RootSystem) -> ProjectionDatum:
         gamma_norms=gamma_norms,
         projected_roots={v: len(p) for v, p in preimages.items()},
         preimages={v: frozenset(p) for v, p in preimages.items()},
+        length_labels=rootsys.length_labels(
+            projected_inner(v, v, gamma_norms) for v in values
+        ),
         projected_type=_identify_type(values, gamma_norms),
     )
-
-
-def preimage(datum: ProjectionDatum, value: Projected) -> frozenset[RootVec]:
-    return datum.preimage(value)
 
 
 def sum_lands_on_delta(system: RootSystem) -> bool:

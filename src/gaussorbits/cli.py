@@ -114,10 +114,10 @@ def classify_cmd(ctx, pair_key, root_spec, p, n, xi):
     else:
         H = rootsys.RootVec.parse(root_spec)
     rep = orbits.classify(pair, H)
-    payload = report.orbit_report_to_json(rep)
+    payload = report.to_json(rep)
     if xi is not None:
         spec = orbits.principal_curvatures(pair, rep.H, rootsys.RootVec.parse(xi))
-        payload["curvature_spectrum"] = report.spectrum_to_json(spec)["entries"]
+        payload["curvature_spectrum"] = report.to_json(spec)["entries"]
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         click.echo(report.render_json(payload), nl=False)
@@ -154,7 +154,7 @@ def ferus_cmd(ctx, l_value, scan, verify_identities, qmax, p_range, n_range, lma
         raise click.UsageError("use exactly one of --l, --scan, --verify-identities")
     if l_value is not None:
         cert = ferus.ferus(l_value)
-        payload = report.certificate_to_json(cert)
+        payload = report.to_json(cert)
         if fmt == "json":
             click.echo(report.render_json(payload), nl=False)
         else:
@@ -196,7 +196,7 @@ def appendix_cmd(ctx, algebra):
     """Strongly orthogonal roots, projected system and verification verdicts."""
     system = rootsys.build(algebra.upper())
     verdict = cayley.verify_appendix(system)
-    payload = report.appendix_to_json(verdict)
+    payload = report.to_json(verdict) | {"ok": verdict.ok}
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         click.echo(report.render_json(payload), nl=False)

@@ -75,10 +75,6 @@ def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
     both "4*p+2*n-7" and "4p+2n-7" work.
     """
     src = re.sub(r"(\d)\s*([pn(])", r"\1*\2", text)
-    try:
-        node = ast.parse(src, mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"bad expression {text!r}: {exc}") from None
 
     def ev(node) -> Fraction:
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
@@ -102,7 +98,14 @@ def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
             return a / b
         raise ValueError(f"unsupported construct in expression {text!r}")
 
-    result = ev(node)
+    try:
+        result = ev(ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"bad expression {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"expression {text!r} divides by zero") from None
+    except (MemoryError, RecursionError):
+        raise ValueError(f"expression {text!r} is nested too deeply") from None
     if result.denominator != 1:
         raise ValueError(f"expression {text!r} is not integral: {result}")
     return int(result)
@@ -298,9 +301,6 @@ class PairDatabase:
         if norm not in self._index:
             raise KeyError(f"unknown pair {key!r}")
         return self._index[norm]
-
-    def lookup(self, g: str, k: str) -> PairFamily:
-        return self.get(f"{g}|{k}")
 
 
 def _data_path() -> Path:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import cayley, ferus, orbits, pairdb
+from . import ferus, orbits, pairdb
 from .rootsys import RootVec
 
 
@@ -28,10 +28,6 @@ class VerificationFailure(Exception):
 def rational_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _render_affine(a: int, b: int, c: int) -> str:
@@ -47,10 +43,6 @@ def _render_affine(a: int, b: int, c: int) -> str:
     if c != 0 or not parts:
         parts.append(str(c) if not parts else ("%+d" % c))
     return "".join(parts)
-
-
-def eval_formula(formula: str, p: int | None = None, n: int | None = None) -> int:
-    return pairdb.eval_expr(formula, p=p, n=n)
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class Table1Row:
                 args["p"] = p
             if "n" in self.l + self.r:
                 args["n"] = n
-            got = eval_formula(self.l, **args) - eval_formula(self.r, **args)
+            got = pairdb.eval_expr(self.l, **args) - pairdb.eval_expr(self.r, **args)
             if got != self.degeneracy:
                 raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
 
@@ -82,39 +74,38 @@ def _classified_lr(family: pairdb.PairFamily, p: int | None, n: int | None):
     return report.l, report.r
 
 
-def _affine_fit(family: pairdb.PairFamily, component: int) -> str:
+def _affine_fit(family: pairdb.PairFamily) -> tuple[str, str]:
+    """Affine formulas for (l, r), fitted and checked on one set of points."""
     p0 = family.p_min if family.uses_p else None
     n0 = family.n_min if family.uses_n else None
-    base = _classified_lr(family, p0, n0)[component]
-    a = b = 0
-    if family.uses_p:
-        a = _classified_lr(family, p0 + 1, n0)[component] - base
-    if family.uses_n:
-        b = _classified_lr(family, p0, n0 + 1)[component] - base
-    c = base - a * (p0 or 0) - b * (n0 or 0)
-    for dp, dn in ((2, 0), (0, 3), (3, 2)):
-        p = p0 + dp if family.uses_p else None
-        n = n0 + dn if family.uses_n else None
+    lr = {}
+    for dp, dn in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 3), (3, 2)):
         if (dp and not family.uses_p) or (dn and not family.uses_n):
             continue
-        want = a * (p or 0) + b * (n or 0) + c
-        if _classified_lr(family, p, n)[component] != want:
-            raise VerificationFailure(
-                f"{family.key}: table value is not affine in (p, n)"
-            )
-    return _render_affine(a, b, c)
+        p = p0 + dp if family.uses_p else None
+        n = n0 + dn if family.uses_n else None
+        lr[p, n] = _classified_lr(family, p, n)
+    formulas = []
+    for component in (0, 1):
+        base = lr[p0, n0][component]
+        a = lr[p0 + 1, n0][component] - base if family.uses_p else 0
+        b = lr[p0, n0 + 1][component] - base if family.uses_n else 0
+        c = base - a * (p0 or 0) - b * (n0 or 0)
+        if any(v[component] != a * (p or 0) + b * (n or 0) + c for (p, n), v in lr.items()):
+            raise VerificationFailure(f"{family.key}: table value is not affine in (p, n)")
+        formulas.append(_render_affine(a, b, c))
+    return tuple(formulas)
 
 
 def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
     """Symbolic classification table, one row per database family."""
     rows = []
     for family in db:
-        l = _affine_fit(family, 0)
-        r = _affine_fit(family, 1)
+        l, r = _affine_fit(family)
         args = {"p": 3} if family.uses_p else {}
         if family.uses_n:
             args["n"] = 2
-        deg = eval_formula(l, **args) - eval_formula(r, **args)
+        deg = pairdb.eval_expr(l, **args) - pairdb.eval_expr(r, **args)
         rows.append(
             Table1Row(
                 rstype=family.family,
@@ -210,8 +201,8 @@ def check_table1(
             continue
         for pair in family.instantiations(p_range=p_range, n_range=n_range):
             report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"))
-            want_l = eval_formula(exp.l, p=pair.p, n=pair.n)
-            want_r = eval_formula(exp.r, p=pair.p, n=pair.n)
+            want_l = pairdb.eval_expr(exp.l, p=pair.p, n=pair.n)
+            want_r = pairdb.eval_expr(exp.r, p=pair.p, n=pair.n)
             if (report.l, report.r, report.nullity) != (
                 want_l,
                 want_r,
@@ -320,159 +311,21 @@ def scan_cells(rows: list[ferus.ScanRow]):
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trips for the report types
+# JSON encoding of the report types
 
-def vec_to_json(v: RootVec) -> list[str]:
-    return [rational_str(c) for c in v.coords]
+def to_json(value):
+    """JSON-ready form of a report value.
 
-def vec_from_json(data) -> RootVec:
-    return RootVec(Fraction(c) for c in data)
-
-
-def orbit_report_to_json(rep: orbits.OrbitReport) -> dict:
-    return {
-        "pair": rep.pair,
-        "H": vec_to_json(rep.H),
-        "degenerate": rep.degenerate,
-        "l": rep.l,
-        "r": rep.r,
-        "nullity": rep.nullity,
-        "rule": rep.rule,
-        "root_class": rep.root_class,
-        "satisfies_ab": rep.satisfies_ab,
-    }
-
-def orbit_report_from_json(data: dict) -> orbits.OrbitReport:
-    return orbits.OrbitReport(
-        pair=data["pair"],
-        H=vec_from_json(data["H"]),
-        degenerate=data["degenerate"],
-        l=data["l"],
-        r=data["r"],
-        nullity=data["nullity"],
-        rule=data["rule"],
-        root_class=data["root_class"],
-        satisfies_ab=data["satisfies_ab"],
-    )
-
-
-def spectrum_to_json(spec: orbits.CurvatureSpectrum) -> dict:
-    return {"entries": [[rational_str(v), m] for v, m in spec.entries]}
-
-def spectrum_from_json(data: dict) -> orbits.CurvatureSpectrum:
-    return orbits.CurvatureSpectrum(
-        entries=tuple((Fraction(v), m) for v, m in data["entries"])
-    )
-
-
-def certificate_to_json(cert: ferus.FerusCertificate) -> dict:
-    return {
-        "l": cert.l,
-        "F": cert.F,
-        "witness_k": cert.witness_k,
-        "minimality_checked_up_to": cert.minimality_checked_up_to,
-    }
-
-def certificate_from_json(data: dict) -> ferus.FerusCertificate:
-    return ferus.FerusCertificate(
-        l=data["l"],
-        F=data["F"],
-        witness_k=data["witness_k"],
-        minimality_checked_up_to=data["minimality_checked_up_to"],
-    )
-
-
-def scan_row_to_json(row: ferus.ScanRow) -> dict:
-    return {
-        "pair": row.pair,
-        "p": row.p,
-        "n": row.n,
-        "orbit": row.orbit,
-        "degenerate": row.degenerate,
-        "l": row.l,
-        "r": row.r,
-        "F(l)": row.ferus_l,
-        "equality": row.equality,
-    }
-
-def scan_row_from_json(data: dict) -> ferus.ScanRow:
-    return ferus.ScanRow(
-        pair=data["pair"],
-        p=data["p"],
-        n=data["n"],
-        orbit=data["orbit"],
-        degenerate=data["degenerate"],
-        l=data["l"],
-        r=data["r"],
-        ferus_l=data["F(l)"],
-        equality=data["equality"],
-    )
-
-
-def table1_row_to_json(row: Table1Row) -> dict:
-    return {
-        "type": row.rstype,
-        "rank": row.rank,
-        "g": row.g,
-        "k": row.k,
-        "l": row.l,
-        "r": row.r,
-        "degeneracy": row.degeneracy,
-    }
-
-def table1_row_from_json(data: dict) -> Table1Row:
-    return Table1Row(
-        rstype=data["type"],
-        rank=data["rank"],
-        g=data["g"],
-        k=data["k"],
-        l=data["l"],
-        r=data["r"],
-        degeneracy=data["degeneracy"],
-    )
-
-
-def appendix_to_json(v: cayley.AppendixVerification) -> dict:
-    return {
-        "algebra": v.algebra,
-        "gammas": [vec_to_json(g) for g in v.gammas],
-        "gamma_count_ok": v.gamma_count_ok,
-        "equal_gamma_lengths": v.equal_gamma_lengths,
-        "projected_type": v.projected_type,
-        "projected_type_ok": v.projected_type_ok,
-        "multiplicities": [list(item) for item in v.multiplicities],
-        "preimage_cardinalities": (
-            list(v.preimage_cardinalities)
-            if v.preimage_cardinalities is not None
-            else None
-        ),
-        "nu_orthogonal_to_lam": v.nu_orthogonal_to_lam,
-        "identities_ok": v.identities_ok,
-        "sum_to_delta_ok": v.sum_to_delta_ok,
-        "maximal_abelian": v.maximal_abelian,
-        "contraction_ok": v.contraction_ok,
-        "m_plus_even": v.m_plus_even,
-        "ok": v.ok,
-    }
-
-def appendix_from_json(data: dict) -> cayley.AppendixVerification:
-    return cayley.AppendixVerification(
-        algebra=data["algebra"],
-        gammas=tuple(vec_from_json(g) for g in data["gammas"]),
-        gamma_count_ok=data["gamma_count_ok"],
-        equal_gamma_lengths=data["equal_gamma_lengths"],
-        projected_type=data["projected_type"],
-        projected_type_ok=data["projected_type_ok"],
-        multiplicities=tuple((c, m) for c, m in data["multiplicities"]),
-        preimage_cardinalities=(
-            tuple(data["preimage_cardinalities"])
-            if data["preimage_cardinalities"] is not None
-            else None
-        ),
-        nu_orthogonal_to_lam=data["nu_orthogonal_to_lam"],
-        identities_ok=data["identities_ok"],
-        sum_to_delta_ok=data["sum_to_delta_ok"],
-        maximal_abelian=data["maximal_abelian"],
-        contraction_ok=data["contraction_ok"],
-        m_plus_even=data["m_plus_even"],
-    )
+    A dataclass becomes a dict of its fields in declaration order, a
+    RootVec a list of rational strings, a Fraction one rational string and
+    a tuple a list; other values pass through unchanged.
+    """
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, RootVec):
+        return [rational_str(c) for c in value.coords]
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    return value

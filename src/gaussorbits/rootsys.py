@@ -251,6 +251,15 @@ def _parse_type(family: str, rank: int | None) -> RootSystemType:
     return RootSystemType(family, rank)
 
 
+_LABELS = {1: ("long",), 2: ("long", "short"), 3: ("long", "middle", "short")}
+
+
+def length_labels(norms) -> dict[Fraction, str]:
+    """Map each distinct squared length to its class label, longest first."""
+    lengths = sorted(set(norms), reverse=True)
+    return dict(zip(lengths, _LABELS[len(lengths)]))
+
+
 class RootSystem:
     """A constructed root system; instances are cached singletons per type."""
 
@@ -286,13 +295,7 @@ class RootSystem:
         object.__setattr__(
             self, "_all_set", frozenset(positive) | frozenset(-v for v in positive)
         )
-        lengths = sorted(set(self.positive_norms), reverse=True)
-        labels = {1: ("long",), 2: ("long", "short"), 3: ("long", "middle", "short")}
-        object.__setattr__(
-            self,
-            "_length_classes",
-            dict(zip(lengths, labels[len(lengths)])),
-        )
+        object.__setattr__(self, "_length_classes", length_labels(self.positive_norms))
         gram = [[inner(a, b) for b in self.simple_roots] for a in self.simple_roots]
         object.__setattr__(self, "_gram_inv", linalg.invert(gram))
 
@@ -593,13 +596,6 @@ def _check_build(system: RootSystem) -> None:
                 raise InvariantViolation(
                     f"{system.rstype.label()}: highest root does not dominate {mu!r}"
                 )
-
-
-def is_root(system: RootSystem, v: RootVec) -> bool:
-    """True when v or -v is a positive root of the system."""
-    if v.dim != system.ambient_dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {system.ambient_dim}")
-    return system.contains(v)
 
 
 WOLF_ORTHOGONAL = "orthogonal"

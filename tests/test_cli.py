@@ -195,6 +195,13 @@ class TestUserSuppliedDatabase:
         assert code == 1
         assert "98" in err or "rank" in err
 
+    def test_expression_dividing_by_zero(self, run, tmp_path):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.CUSTOM.replace("dim_m 2*p*p+4*p", "dim_m 2*p*p+4*p/(p-p)"))
+        code, _, err = run("--pairs", str(path), "pairs", "list")
+        assert code == 1
+        assert err == "error: line 1: expression '2*p*p+4*p/(p-p)' divides by zero\n"
+
 
 class TestPairsCommand:
     def test_list(self, run):

@@ -1,0 +1,56 @@
+"""Byte-for-byte CLI output against small goldens in tests/golden/.
+
+Each case runs in process through `cli.main` and compares stdout with
+`tests/golden/<name>.txt`.  After a deliberate output change, rewrite
+the goldens with `PYTHONPATH=src python tests/test_cli_golden.py` and
+review the diff.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from gaussorbits.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+G2_SHORT = ("classify", "--pair", "g2|so(4)", "--root", "short")
+SO_XI = (
+    "classify", "--pair", "so(2p+n)|so(p)+so(p+n)",
+    "--p", "2", "--n", "3", "--root", "1,1", "--xi", "1,-1",
+)
+CASES = {
+    "classify_g2_short.md": G2_SHORT,
+    "classify_g2_short.json": ("--format", "json", *G2_SHORT),
+    "classify_so_xi.md": SO_XI,
+    "classify_so_xi.json": ("--format", "json", *SO_XI),
+    "ferus_57.md": ("ferus", "--l", "57"),
+    "ferus_57.json": ("--format", "json", "ferus", "--l", "57"),
+    "appendix_g2.md": ("appendix", "--algebra", "g2"),
+    "appendix_g2.json": ("--format", "json", "appendix", "--algebra", "g2"),
+    "appendix_e8.md": ("appendix", "--algebra", "e8"),
+    "appendix_e8.json": ("--format", "json", "appendix", "--algebra", "e8"),
+    "table1.md": ("table1",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys):
+    code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            if main(list(argv)) != 0:
+                sys.exit(f"{name}: non-zero exit")
+        (GOLDEN / name).write_text(buf.getvalue())

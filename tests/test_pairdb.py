@@ -17,18 +17,18 @@ class TestLoad:
         assert len(db) == 31
 
     def test_lookup_e6_f4(self, db):
-        fam = db.lookup("e6", "f4")
+        fam = db.get("e6|f4")
         pair = fam.instantiate()
         assert pair.rstype == rootsys.RootSystemType("A", 2)
         assert dict(pair.mult_by_class) == {"all": 8}
 
     def test_lookup_su_so(self, db):
-        pair = db.lookup("su(p+1)", "so(p+1)").instantiate(p=4)
+        pair = db.get("su(p+1)|so(p+1)").instantiate(p=4)
         assert pair.rstype.family == "A"
         assert dict(pair.mult_by_class) == {"all": 1}
 
     def test_lookup_group_manifold_with_unicode(self, db):
-        fam = db.lookup("g2 ⊕ g2", "g2")
+        fam = db.get("g2 ⊕ g2|g2")
         assert "group_manifold" in fam.flags
         pair = fam.instantiate()
         assert set(dict(pair.mult_by_class).values()) == {2}
@@ -233,6 +233,20 @@ class TestExpressions:
     def test_non_integer(self):
         with pytest.raises(ValueError, match="not integral"):
             pairdb.eval_expr("p/2", p=3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/0",
+            "p/(p-p)",
+            "+".join(["1"] * 100_000),
+            "-" * 100_000 + "1",
+        ],
+        ids=["zero", "zero-in-p", "recursion", "parser-memory"],
+    )
+    def test_hostile_input_is_value_error(self, text):
+        with pytest.raises(ValueError, match="divides by zero|nested too deeply"):
+            pairdb.eval_expr(text, p=3)
 
     def test_missing_value(self):
         with pytest.raises(ValueError, match="needs a value"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -29,8 +30,8 @@ class TestAffineRendering:
         assert report._render_affine(*coeffs) == want
 
     def test_formula_evaluation(self):
-        assert report.eval_formula("4p+2n-7", p=3, n=2) == 9
-        assert report.eval_formula("24") == 24
+        assert pairdb.eval_expr("4p+2n-7", p=3, n=2) == 9
+        assert pairdb.eval_expr("24") == 24
 
 
 class TestTable1:
@@ -90,42 +91,66 @@ class TestRationalStrings:
         assert report.rational_str(Fraction(2, 4)) == "1/2"
         assert report.rational_str(Fraction(6, 3)) == "2"
         assert report.rational_str(Fraction(-1, 2)) == "-1/2"
-        assert report.parse_rational("-7/3") == Fraction(-7, 3)
+        assert pairdb.eval_expr("-7/3*3") == -7
 
 
 class TestJsonRoundTrips:
+    """`to_json` output survives json text and has the documented shape."""
+
+    @staticmethod
+    def encode(value):
+        return json.loads(json.dumps(report.to_json(value)))
+
     def test_orbit_report(self, db):
         pair = db.get("g2|so(4)").instantiate()
-        rep = orbits.classify(pair, orbits.resolve_orbit(pair, "short"))
-        blob = json.dumps(report.orbit_report_to_json(rep))
-        assert report.orbit_report_from_json(json.loads(blob)) == rep
+        rep = orbits.classify(pair, rootvec(3, 1, -4))
+        assert self.encode(rep) == {
+            "pair": "g2|so(4)",
+            "H": ["-1", "-3", "4"],
+            "degenerate": False,
+            "l": 6,
+            "r": 6,
+            "nullity": 0,
+            "rule": "NotParallelToRoot",
+            "root_class": None,
+            "satisfies_ab": None,
+        }
+        assert list(report.to_json(rep)) == [f.name for f in dataclasses.fields(rep)]
 
     def test_spectrum(self, db):
         pair = db.get("so(2p+n)|so(p)+so(p+n)").instantiate(p=2, n=3)
         spec = orbits.principal_curvatures(pair, rootvec(1, 1), rootvec(1, -1))
-        blob = json.dumps(report.spectrum_to_json(spec))
-        assert report.spectrum_from_json(json.loads(blob)) == spec
+        assert self.encode(spec) == {"entries": [["-1", 3], ["0", 1], ["1", 3]]}
 
     def test_certificate(self):
-        cert = ferus.ferus(57)
-        blob = json.dumps(report.certificate_to_json(cert))
-        assert report.certificate_from_json(json.loads(blob)) == cert
+        assert self.encode(ferus.ferus(57)) == {
+            "l": 57, "F": 56, "witness_k": 56, "minimality_checked_up_to": 55,
+        }
 
     def test_scan_row(self, db):
         row = ferus.equality_scan(db, p_range=(2, 2), n_range=(1, 1))[0]
-        blob = json.dumps(report.scan_row_to_json(row))
-        assert report.scan_row_from_json(json.loads(blob)) == row
+        assert self.encode(row) == {
+            "pair": "su(p+1)|so(p+1)", "p": 2, "n": None, "orbit": "long",
+            "degenerate": True, "l": 3, "r": 2, "ferus_l": 2, "equality": True,
+        }
 
     def test_table1_row(self, db):
-        row = report.table1_rows(db)[0]
-        blob = json.dumps(report.table1_row_to_json(row))
-        assert report.table1_row_from_json(json.loads(blob)) == row
+        assert self.encode(report.table1_rows(db)[0]) == {
+            "rstype": "A", "rank": "p", "g": "su(p+1)", "k": "so(p+1)",
+            "l": "2p-1", "r": "2p-2", "degeneracy": 1,
+        }
 
     def test_appendix(self):
-        verdict = cayley.verify_appendix(rootsys.build("E6"))
-        blob = json.dumps(report.appendix_to_json(verdict))
-        assert report.appendix_from_json(json.loads(blob)) == verdict
+        got = self.encode(cayley.verify_appendix(rootsys.build("G2")))
+        assert got["gammas"] == [["-2", "1", "1"], ["0", "-1", "1"]]
+        assert got["multiplicities"] == [["long", 1], ["short", 1]]
+        assert got["preimage_cardinalities"] is None
+        assert "ok" not in got
 
     def test_vectors_with_denominators(self):
         v = rootvec(Fraction(1, 2), Fraction(-3, 4), 2)
-        assert report.vec_from_json(report.vec_to_json(v)) == v
+        assert report.to_json(v) == ["1/2", "-3/4", "2"]
+        assert report.to_json(Fraction(-7, 3)) == "-7/3"
+        assert report.to_json(((Fraction(6, 4), 2), (v,))) == [
+            ["3/2", 2], [["1/2", "-3/4", "2"]],
+        ]

@@ -178,17 +178,13 @@ class TestBuild:
 class TestIsRoot:
     def test_c2_doubled(self):
         c2 = rs.build("C", 2)
-        assert rs.is_root(c2, rootvec(2, 0))
-        assert not rs.is_root(c2, rootvec(3, 0))
-        assert rs.is_root(c2, rootvec(-1, -1))
+        assert c2.contains(rootvec(2, 0))
+        assert not c2.contains(rootvec(3, 0))
+        assert c2.contains(rootvec(-1, -1))
 
     def test_b3_sum_of_three(self):
         b3 = rs.build("B", 3)
-        assert not rs.is_root(b3, rootvec(1, 1, 1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            rs.is_root(rs.build("B", 3), rootvec(1, 0))
+        assert not b3.contains(rootvec(1, 1, 1))
 
 
 class TestWolf:
