@@ -115,15 +115,9 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
 
 @lru_cache(maxsize=1024)
 def _canonical_class_rep(system: RootSystem, spec: str) -> RootVec:
-    classes = system.length_classes()
-    wanted = [length for length, label in classes.items() if label == spec]
-    if not wanted:
+    members = [v for v in system.positive_roots if system.root_class(v) == spec]
+    if not members:
         raise ValueError(f"no {spec} roots in {system.rstype.label()}")
-    members = [
-        v
-        for v, norm in zip(system.positive_roots, system.positive_norms)
-        if norm == wanted[0]
-    ]
     return max(members, key=system.sort_key)
 
 
@@ -151,7 +145,7 @@ def classify(pair: pairdb.Pair, H: RootVec) -> OrbitReport:
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
-    system, mult = pairdb.restricted_system(pair)
+    system = pair.system()
     folded = rootsys.primitive_ray(weyl_fold(system, H))
     l = pairdb.orbit_dimension(pair, folded)
     lam = parallel_root(system, folded)
@@ -178,7 +172,7 @@ def classify(pair: pairdb.Pair, H: RootVec) -> OrbitReport:
             f"{pair.key}: {lam!r} satisfies (a) and (b) but was not classified "
             f"degenerate"
         )
-    nullity = mult.of(lam) if degenerate else 0
+    nullity = pair.multiplicity(lam) if degenerate else 0
     return OrbitReport(
         pair=pair.label(),
         H=folded,
@@ -199,7 +193,7 @@ def principal_curvatures(pair: pairdb.Pair, H: RootVec, xi: RootVec) -> Curvatur
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
-    system, mult = pairdb.restricted_system(pair)
+    system = pair.system()
     if xi.dim != H.dim or H.dim != system.ambient_dim:
         raise ValueError("dimension mismatch")
     if not is_orthogonal(xi, H):
@@ -210,7 +204,7 @@ def principal_curvatures(pair: pairdb.Pair, H: RootVec, xi: RootVec) -> Curvatur
         if denom == 0:
             continue
         value = -inner(lam, xi) / denom
-        spectrum[value] = spectrum.get(value, 0) + mult.of(lam)
+        spectrum[value] = spectrum.get(value, 0) + pair.multiplicity(lam)
     entries = tuple(sorted(spectrum.items()))
     return CurvatureSpectrum(entries=entries)
 
@@ -224,7 +218,8 @@ def nullity_upper_bound(pair: pairdb.Pair, H: RootVec) -> int:
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
-    system, mult = pairdb.restricted_system(pair)
     return sum(
-        mult.of(mu) for mu in system.positive_roots if rootsys.is_parallel(mu, H)
+        pair.multiplicity(mu)
+        for mu in pair.system().positive_roots
+        if rootsys.is_parallel(mu, H)
     )

@@ -15,7 +15,6 @@ import ast
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -25,39 +24,6 @@ from .rootsys import RootSystem, RootSystemType, RootVec, is_orthogonal
 FLAGS = frozenset(
     ["hermitian", "normal_real_form", "quaternionic_F4_exceptional", "group_manifold"]
 )
-
-# Squared length of each multiplicity class per family, and the number of
-# positive roots in the class as a function of the rank.
-_CLASS_LENGTH: dict[str, dict[str, int]] = {
-    "A": {"all": 2},
-    "D": {"all": 2},
-    "E6": {"all": 2},
-    "E7": {"all": 2},
-    "E8": {"all": 2},
-    "B": {"e_i": 1, "e_i+-e_j": 2},
-    "C": {"e_i+-e_j": 2, "2e_i": 4},
-    "BC": {"e_i": 1, "e_i+-e_j": 2, "2e_i": 4},
-    "F4": {"short": 1, "long": 2},
-    "G2": {"short": 2, "long": 6},
-}
-
-_CLASS_COUNT = {
-    "A": {"all": lambda p: p * (p + 1) // 2},
-    "D": {"all": lambda p: p * (p - 1)},
-    "E6": {"all": lambda p: 36},
-    "E7": {"all": lambda p: 63},
-    "E8": {"all": lambda p: 120},
-    "B": {"e_i": lambda p: p, "e_i+-e_j": lambda p: p * (p - 1)},
-    "C": {"e_i+-e_j": lambda p: p * (p - 1), "2e_i": lambda p: p},
-    "BC": {
-        "e_i": lambda p: p,
-        "e_i+-e_j": lambda p: p * (p - 1),
-        "2e_i": lambda p: p,
-    },
-    "F4": {"short": lambda p: 12, "long": lambda p: 12},
-    "G2": {"short": lambda p: 3, "long": lambda p: 3},
-}
-
 
 class PairsFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -75,6 +41,8 @@ def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
     both "4*p+2*n-7" and "4p+2n-7" work.
     """
     src = re.sub(r"(\d)\s*([pn(])", r"\1*\2", text)
+    # Messages quote a long expression only in part, to stay one short line.
+    shown = repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
 
     def ev(node) -> Fraction:
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
@@ -82,7 +50,7 @@ def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
         if isinstance(node, ast.Name):
             value = {"p": p, "n": n}.get(node.id)
             if value is None:
-                raise ValueError(f"expression {text!r} needs a value for {node.id!r}")
+                raise ValueError(f"expression {shown} needs a value for {node.id!r}")
             return Fraction(value)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             v = ev(node.operand)
@@ -96,18 +64,18 @@ def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
             if isinstance(node.op, ast.Mult):
                 return a * b
             return a / b
-        raise ValueError(f"unsupported construct in expression {text!r}")
+        raise ValueError(f"unsupported construct in expression {shown}")
 
     try:
         result = ev(ast.parse(src, mode="eval").body)
     except SyntaxError as exc:
-        raise ValueError(f"bad expression {text!r}: {exc}") from None
+        raise ValueError(f"bad expression {shown}: {exc}") from None
     except ZeroDivisionError:
-        raise ValueError(f"expression {text!r} divides by zero") from None
+        raise ValueError(f"expression {shown} divides by zero") from None
     except (MemoryError, RecursionError):
-        raise ValueError(f"expression {text!r} is nested too deeply") from None
+        raise ValueError(f"expression {shown} is nested too deeply") from None
     if result.denominator != 1:
-        raise ValueError(f"expression {text!r} is not integral: {result}")
+        raise ValueError(f"expression {shown} is not integral: {result}")
     return int(result)
 
 
@@ -135,28 +103,6 @@ def normalize_key(text: str) -> str:
     )
 
 
-class MultiplicityFn:
-    """Multiplicities of the positive-root classes of one instantiated pair."""
-
-    __slots__ = ("by_class", "_by_length")
-
-    def __init__(self, family: str, by_class: dict[str, int]):
-        self.by_class = dict(by_class)
-        self._by_length = {
-            Fraction(_CLASS_LENGTH[family][tag]): m for tag, m in by_class.items()
-        }
-
-    def of(self, root: RootVec) -> int:
-        return self._by_length[rootsys.norm_sq(root)]
-
-    def total(self, system: RootSystem) -> int:
-        return sum(self.of(v) for v in system.positive_roots)
-
-    def __repr__(self):
-        inner = ", ".join(f"{t}={m}" for t, m in sorted(self.by_class.items()))
-        return f"MultiplicityFn({inner})"
-
-
 @dataclass(frozen=True)
 class Pair:
     """One instantiated symmetric pair (concrete rank and multiplicities)."""
@@ -165,7 +111,7 @@ class Pair:
     g_name: str
     k_name: str
     rstype: RootSystemType
-    mult_by_class: tuple[tuple[str, int], ...]
+    mult_by_class: tuple[tuple[str, int], ...]  # in rootsys.CLASSES order
     flags: frozenset[str]
     dim_m: int
     p: int | None = None
@@ -174,8 +120,9 @@ class Pair:
     def system(self) -> RootSystem:
         return rootsys.build(self.rstype)
 
-    def multiplicities(self) -> MultiplicityFn:
-        return MultiplicityFn(self.rstype.family, dict(self.mult_by_class))
+    def multiplicity(self, root: RootVec) -> int:
+        """m(root): the multiplicity of the class of a restricted root."""
+        return self.mult_by_class[self.system().class_index(root)][1]
 
     def label(self) -> str:
         params = [f"p={self.p}" if self.p is not None else "",
@@ -237,9 +184,8 @@ class PairFamily:
         if "group_manifold" in self.flags and set(by_class.values()) != {2}:
             raise ValueError(f"{self.key}: group manifold with multiplicities != 2")
         dim_m = eval_expr(self.dim_m_expr, p=p, n=n)
-        counted = sum(
-            _CLASS_COUNT[self.family][tag](rank) * m for tag, m in by_class.items()
-        )
+        classes = rootsys.CLASSES[self.family]
+        counted = sum(count(rank) * by_class[tag] for tag, _, count in classes)
         if counted + rank != dim_m:
             raise ValueError(
                 f"{self.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}"
@@ -249,7 +195,7 @@ class PairFamily:
             g_name=render_name(self.g_name, p=p, n=n),
             k_name=render_name(self.k_name, p=p, n=n),
             rstype=rstype,
-            mult_by_class=tuple(sorted(by_class.items())),
+            mult_by_class=tuple((tag, by_class[tag]) for tag, _, _ in classes),
             flags=self.flags,
             dim_m=dim_m,
             p=p,
@@ -328,7 +274,7 @@ def parse_database(text: str) -> PairDatabase:
                 raise PairsFormatError("nested pair record", lineno)
             if len(args) != 1:
                 raise PairsFormatError("pair needs exactly one key", lineno)
-            current = {"key": args[0], "mult": [], "flags": [], "aliases": []}
+            current = {"key": args[0], "mult": [], "flags": [], "aliases": [], "lines": {}}
             start_line = lineno
             continue
         if current is None:
@@ -357,6 +303,7 @@ def parse_database(text: str) -> PairDatabase:
             if len(args) != 2:
                 raise PairsFormatError("mult needs class and expression", lineno)
             current["mult"].append((args[0], args[1]))
+            current["lines"][args[0]] = lineno
         elif word == "flags":
             bad = [f for f in args if f not in FLAGS]
             if bad:
@@ -366,6 +313,7 @@ def parse_database(text: str) -> PairDatabase:
             if len(args) != 1:
                 raise PairsFormatError("dim_m needs one expression", lineno)
             current["dim_m"] = args[0]
+            current["lines"]["dim_m"] = lineno
         elif word == "alias":
             if len(args) != 1:
                 raise PairsFormatError("alias needs one key", lineno)
@@ -382,7 +330,7 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
         if field not in rec:
             raise PairsFormatError(f"pair {rec['key']!r} missing field {field!r}", line)
     family = rec["family"]
-    if family not in _CLASS_LENGTH:
+    if family not in rootsys.CLASSES:
         raise PairsFormatError(f"unknown family {family!r}", line)
     rank_expr = rec["rank"]
     if rank_expr == "p":
@@ -396,7 +344,7 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
         if "p_range" in rec:
             raise PairsFormatError(f"pair {rec['key']!r} has fixed rank and params p", line)
     tags = [tag for tag, _ in rec["mult"]]
-    expected = set(_CLASS_LENGTH[family])
+    expected = {tag for tag, _, _ in rootsys.CLASSES[family]}
     if set(tags) != expected or len(tags) != len(expected):
         raise PairsFormatError(
             f"pair {rec['key']!r} classes {sorted(tags)} != {sorted(expected)}", line
@@ -426,7 +374,13 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
         dim_m_expr=rec["dim_m"],
         aliases=tuple(rec["aliases"]),
     )
-    # Validate at the smallest instantiation so data errors surface at load.
+    # Validate at the smallest instantiation so data errors surface at load;
+    # each expression first on its own, so that its error names its line.
+    for field, expr in (*fam.mult, ("dim_m", fam.dim_m_expr)):
+        try:
+            eval_expr(expr, p=fam.p_min, n=fam.n_min)
+        except ValueError as exc:
+            raise PairsFormatError(str(exc), rec["lines"][field]) from None
     try:
         fam.instantiate(p=fam.p_min, n=fam.n_min)
     except ValueError as exc:
@@ -456,32 +410,14 @@ def serialize(db: PairDatabase) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-@lru_cache(maxsize=1024)
-def restricted_system(pair: Pair) -> tuple[RootSystem, MultiplicityFn]:
-    """The built restricted root system with multiplicities bound to it."""
-    system = pair.system()
-    mult = pair.multiplicities()
-    if set(system.positive_norms) != set(mult._by_length):
-        raise ValueError(f"{pair.key}: multiplicity classes do not cover the system")
-    return system, mult
-
-
-@lru_cache(maxsize=1024)
-def _multiplicity_array(pair: Pair) -> tuple[int, ...]:
-    # Multiplicities aligned with system.positive_roots.
-    system, mult = restricted_system(pair)
-    return tuple(mult._by_length[norm] for norm in system.positive_norms)
-
-
 def orbit_dimension(pair: Pair, H: RootVec) -> int:
     """dim Ad(K)H: the sum of m(mu) over positive mu not orthogonal to H."""
     if H.is_zero():
         raise ValueError("H must be nonzero")
-    system, _ = restricted_system(pair)
-    marr = _multiplicity_array(pair)
+    system = pair.system()
     return sum(
-        m
-        for mu, m in zip(system.positive_roots, marr)
+        pair.mult_by_class[c][1]
+        for mu, c in zip(system.positive_roots, system.positive_classes)
         if not is_orthogonal(mu, H)
     )
 
@@ -499,7 +435,7 @@ def chamber_face(pair: Pair, H: RootVec) -> ChamberFace:
 
     H must lie in the closed chamber; callers fold first (see orbits.weyl_fold).
     """
-    system, _ = restricted_system(pair)
+    system = pair.system()
     for alpha in system.simple_roots:
         if rootsys.inner(alpha, H) < 0:
             raise ValueError(f"H={H!r} outside the closed chamber")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
@@ -231,6 +232,8 @@ def render_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "md":
+        headers = [h.replace("|", "\\|") for h in headers]
+        rows = [[c.replace("|", "\\|") for c in r] for r in rows]
         widths = [
             max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
             for i, h in enumerate(headers)
@@ -254,13 +257,14 @@ def parse_rendered(text: str, fmt: str) -> list[dict[str, str]]:
     if fmt == "json":
         return json.loads(text)
     if fmt == "md":
+        def cells(line):
+            # render_table writes a "|" inside a cell as "\|".
+            parts = re.split(r"(?<!\\)\|", line.strip()[1:-1])
+            return [c.strip().replace("\\|", "|") for c in parts]
+
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        headers = [c.strip() for c in lines[0].strip("|").split("|")]
-        out = []
-        for ln in lines[2:]:
-            cells = [c.strip() for c in ln.strip("|").split("|")]
-            out.append(dict(zip(headers, cells)))
-        return out
+        headers = cells(lines[0])
+        return [dict(zip(headers, cells(ln))) for ln in lines[2:]]
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -73,7 +73,9 @@ def test_c2_conditions_select_exactly_g2_short(db):
                 if orbits.cond_a(system, lam) and orbits.cond_b(system, lam):
                     survivors.append((system.rstype.label(), lam))
         g2 = rootsys.build("G2")
-        assert survivors == [("G2", lam) for lam in rootsys.short_roots(g2)]
+        assert survivors == [
+            ("G2", lam) for lam in g2.positive_roots if g2.root_class(lam) == "short"
+        ]
         assert len(survivors) == 3
 
 

@@ -162,7 +162,7 @@ class TestProjectedSystem:
             )
             assert l == want_l[name]
             pair = db.get(pair_keys[name]).instantiate()
-            system, _ = pairdb.restricted_system(pair)
+            system = pair.system()
             assert pairdb.orbit_dimension(pair, system.highest_root) == l
 
     def test_total_projected_count(self, data):

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from gaussorbits import pairdb
+from gaussorbits import pairdb, rootsys
 from gaussorbits.cli import main
 
 
@@ -106,6 +107,15 @@ class TestClassifyCommand:
         assert code == 1
         assert "orthogonal" in err
 
+    def test_rank_above_the_cap(self, run):
+        start = time.perf_counter()
+        code, out, err = run(
+            "classify", "--pair", "su(p+1)|so(p+1)", "--p", "3000", "--root", "highest"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == f"error: rank 3000 of A is above the largest rank {rootsys.MAX_RANK}\n"
+
     def test_orbit_class_missing_from_family(self, run):
         code, _, err = run("classify", "--pair", "e8|so(16)", "--root", "middle")
         assert code == 1
@@ -200,14 +210,23 @@ class TestUserSuppliedDatabase:
         path.write_text(self.CUSTOM.replace("dim_m 2*p*p+4*p", "dim_m 2*p*p+4*p/(p-p)"))
         code, _, err = run("--pairs", str(path), "pairs", "list")
         assert code == 1
-        assert err == "error: line 1: expression '2*p*p+4*p/(p-p)' divides by zero\n"
+        assert err == "error: line 8: expression '2*p*p+4*p/(p-p)' divides by zero\n"
+
+    def test_long_expression_error_is_one_short_line(self, run, tmp_path):
+        path = tmp_path / "pairs.dat"
+        long_sum = "+".join(["p"] * 100_000)
+        path.write_text(self.CUSTOM.replace("dim_m 2*p*p+4*p", "dim_m " + long_sum))
+        code, _, err = run("--pairs", str(path), "pairs", "list")
+        assert code == 1
+        assert err.startswith("error: line 8: expression 'p+p+p")
+        assert err.count("\n") == 1 and len(err) < 120
 
 
 class TestPairsCommand:
     def test_list(self, run):
         code, out, _ = run("pairs", "list")
         assert code == 0
-        assert "e8|su(2)+e7" in out
+        assert "e8\\|su(2)+e7" in out
 
     def test_pairs_override(self, run, tmp_path):
         db = pairdb.load_database()
@@ -216,7 +235,7 @@ class TestPairsCommand:
         path.write_text(text)
         code, out, _ = run("--pairs", str(path), "pairs", "list")
         assert code == 0
-        assert "g2|so(4)" in out
+        assert "g2\\|so(4)" in out
 
 
 class TestPlumbing:

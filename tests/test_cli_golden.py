@@ -1,7 +1,7 @@
 """Byte-for-byte CLI output against small goldens in tests/golden/.
 
 Each case runs in process through `cli.main` and compares stdout with
-`tests/golden/<name>.txt`.  After a deliberate output change, rewrite
+`tests/golden/<name>`.  After a deliberate output change, rewrite
 the goldens with `PYTHONPATH=src python tests/test_cli_golden.py` and
 review the diff.
 """
@@ -32,6 +32,12 @@ CASES = {
     "appendix_e8.md": ("appendix", "--algebra", "e8"),
     "appendix_e8.json": ("--format", "json", "appendix", "--algebra", "e8"),
     "table1.md": ("table1",),
+    "ferus_scan_small.csv": (
+        "--format", "csv", "ferus", "--scan", "--p-range", "2:6", "--n-range", "0:4",
+    ),
+    "table1_grid.csv": (
+        "--format", "csv", "table1", "--p-range", "2:6", "--n-range", "1:4",
+    ),
 }
 
 

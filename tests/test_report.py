@@ -68,11 +68,15 @@ class TestTable1:
 
 class TestRendering:
     def test_formats_carry_identical_values(self, db):
-        headers, cells = report.table1_cells(report.table1_rows(db))
-        md = report.parse_rendered(report.render_table(headers, cells, "md"), "md")
-        csv_ = report.parse_rendered(report.render_table(headers, cells, "csv"), "csv")
-        js = report.parse_rendered(report.render_table(headers, cells, "json"), "json")
-        assert md == csv_ == js
+        scan = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 1))
+        for headers, cells in (
+            report.table1_cells(report.table1_rows(db)),
+            report.scan_cells(scan),  # every pair cell holds a "|"
+        ):
+            md = report.parse_rendered(report.render_table(headers, cells, "md"), "md")
+            csv_ = report.parse_rendered(report.render_table(headers, cells, "csv"), "csv")
+            js = report.parse_rendered(report.render_table(headers, cells, "json"), "json")
+            assert md == csv_ == js
 
     def test_scan_cells_round_trip(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 1))

@@ -77,7 +77,7 @@ class TestInner:
 
     def test_g2_length_ratio(self):
         g2 = rs.build("G2")
-        short = rs.short_roots(g2)[0]
+        short = next(v for v in g2.positive_roots if g2.root_class(v) == "short")
         assert rs.norm_sq(g2.highest_root) / rs.norm_sq(short) == 3
 
     @given(vectors)
@@ -97,6 +97,22 @@ class TestBuild:
         system = rs.build(family, rank)
         assert len(system.positive_roots) == COUNTS[family](rank)
 
+    @pytest.mark.parametrize("long_class,message", [
+        (("long", 6, lambda p: 4), "3 positive roots of class long, expected 4"),
+        (("long", 5, lambda p: 3), "fits no length class"),
+    ])
+    def test_class_table_disagreement_is_invariant_violation(
+        self, monkeypatch, long_class, message
+    ):
+        short_class, _ = rs.CLASSES["G2"]
+        monkeypatch.setitem(rs.CLASSES, "G2", (short_class, long_class))
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(rs.InvariantViolation, match=message):
+                rs.build("G2")
+        finally:
+            rs._build_cached.cache_clear()
+
     def test_bad_types(self):
         with pytest.raises(ValueError, match="rank >= 2"):
             rs.build("D", 1)
@@ -108,6 +124,8 @@ class TestBuild:
             rs.build("H", 3)
         with pytest.raises(ValueError, match="explicit rank"):
             rs.build("B")
+        with pytest.raises(ValueError, match="above the largest rank"):
+            rs.build("A", rs.MAX_RANK + 1)
 
     def test_bc2_roots(self):
         bc2 = rs.build("BC", 2)
@@ -250,17 +268,22 @@ class TestOrderAndClasses:
             rs.lowest_root([rootvec(1, 0), rootvec(1, 0, 0)], lambda v: v.coords)
 
     def test_long_short_partitions(self):
-        a3 = rs.build("A", 3)
-        assert len(rs.long_roots(a3)) == 6
-        assert rs.short_roots(a3) == ()
+        def partition(system):
+            long = [v for v in system.positive_roots if system.root_class(v) == "long"]
+            rest = [v for v in system.positive_roots if system.root_class(v) != "long"]
+            return long, rest
 
-        g2 = rs.build("G2")
-        assert len(rs.short_roots(g2)) == 3
-        assert len(rs.long_roots(g2)) == 3
+        long, rest = partition(rs.build("A", 3))
+        assert len(long) == 6
+        assert rest == []
 
-        bc2 = rs.build("BC", 2)
-        assert set(rs.long_roots(bc2)) == {rootvec(2, 0), rootvec(0, 2)}
-        assert len(rs.short_roots(bc2)) == 4
+        long, rest = partition(rs.build("G2"))
+        assert len(rest) == 3
+        assert len(long) == 3
+
+        long, rest = partition(rs.build("BC", 2))
+        assert set(long) == {rootvec(2, 0), rootvec(0, 2)}
+        assert len(rest) == 4
 
     def test_root_class_labels(self):
         bc2 = rs.build("BC", 2)
