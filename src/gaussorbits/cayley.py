@@ -84,23 +84,17 @@ class ProjectionDatum:
     """Outcome of projecting a full root system onto span(gamma_1..gamma_s)."""
 
     ambient: RootSystem
-    delta: RootVec
     m_plus: tuple[RootVec, ...]
     gammas: tuple[RootVec, ...]
     gamma_norms: tuple[Fraction, ...]
-    projected_roots: dict[Projected, int] = field(compare=False)
     preimages: dict[Projected, frozenset[RootVec]] = field(compare=False)
     length_labels: dict[Fraction, str] = field(compare=False)
-    projected_type: RootSystemType = field(default=None, compare=False)
+    projected_type: RootSystemType = field(compare=False)
 
     def preimage(self, value: Projected) -> frozenset[RootVec]:
         if value not in self.preimages:
             raise ValueError(f"{value!r} is not a projected root")
         return self.preimages[value]
-
-    def positive_projected(self) -> tuple[Projected, ...]:
-        zero = tuple([Fraction(0)] * len(self.gammas))
-        return tuple(sorted(v for v in self.projected_roots if v > zero))
 
     def projected_class(self, value: Projected) -> str:
         return self.length_labels[projected_inner(value, value, self.gamma_norms)]
@@ -114,13 +108,12 @@ def _identify_type(values: set[Projected], gamma_norms) -> RootSystemType:
     positive = sorted(v for v in values if v > zero)
     pos_set = set(positive)
 
-    def add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
 
+    # v is the sum of two positives p, q exactly when some v - p is positive.
     simples = [
-        v
-        for v in positive
-        if not any(add(p, q) == v for p in positive for q in positive)
+        v for v in positive if not any(sub(v, p) in pos_set for p in positive)
     ]
     rank = len(simples)
 
@@ -188,11 +181,9 @@ def restricted_from_projection(system: RootSystem) -> ProjectionDatum:
 
     return ProjectionDatum(
         ambient=system,
-        delta=system.highest_root,
         m_plus=mp,
         gammas=gammas,
         gamma_norms=gamma_norms,
-        projected_roots={v: len(p) for v, p in preimages.items()},
         preimages={v: frozenset(p) for v, p in preimages.items()},
         length_labels=rootsys.length_labels(
             projected_inner(v, v, gamma_norms) for v in values
@@ -302,9 +293,9 @@ def verify_appendix(system: RootSystem) -> AppendixVerification:
     datum = restricted_from_projection(system)
     mult_by_class: dict[str, int] = {}
     consistent = True
-    for value, m in datum.projected_roots.items():
+    for value, pre in datum.preimages.items():
         cls = datum.projected_class(value)
-        if mult_by_class.setdefault(cls, m) != m:
+        if mult_by_class.setdefault(cls, len(pre)) != len(pre):
             consistent = False
     named = SHORT_ROOT_CHECKS.get(label)
     cards = orth = identities = None
@@ -360,20 +351,6 @@ class IdentityReport:
     @property
     def ok(self) -> bool:
         return self.exhausted and all(step.ok for step in self.steps)
-
-    def describe(self, system: RootSystem) -> list[str]:
-        out = []
-        for k, step in enumerate(self.steps, 1):
-            combo = lambda v: tuple(map(int, system.simple_coefficients(v)))
-            out.append(
-                f"step {k}: base {combo(step.base)} "
-                f"+{sorted(map(combo, step.plus_witnesses))} "
-                f"-{sorted(map(combo, step.minus_witnesses))} "
-                f"{'ok' if step.ok else 'MISMATCH'}"
-            )
-        if not self.exhausted:
-            out.append("candidate set not exhausted")
-        return out
 
 
 def rootset_identities(

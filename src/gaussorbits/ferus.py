@@ -37,10 +37,16 @@ class FerusCertificate:
 
 
 def ferus(l: int) -> FerusCertificate:
-    """Ascending scan for F(l); terminates because A(l) + l >= l."""
+    """Ascending scan for F(l), started just below l; O(log l) steps.
+
+    With t the 2-adic valuation of k, A(k) <= 2t + 1 <= 2*log2(k) + 1, so
+    every k < l - 2*l.bit_length() - 1 has A(k) + k < l: that bound proves
+    minimality below the start, and the scan checks it above.  The scan
+    terminates because A(l) + l >= l.
+    """
     if l < 1:
         raise ValueError(f"ferus({l}): l must be >= 1")
-    k = 1
+    k = max(1, l - 2 * l.bit_length() - 1)
     while adams(k) + k < l:
         k += 1
     return FerusCertificate(l=l, F=k, witness_k=k, minimality_checked_up_to=k - 1)

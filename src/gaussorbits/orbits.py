@@ -53,12 +53,6 @@ class CurvatureSpectrum:
 
     entries: tuple[tuple[Fraction, int], ...]
 
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def kernel_dimension(self) -> int:
-        return sum(m for value, m in self.entries if value == 0)
-
 
 def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
     """The closed-chamber representative of the Weyl orbit of H."""
@@ -76,21 +70,25 @@ def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
             return current
 
 
-def parallel_root(system: RootSystem, H: RootVec) -> RootVec | None:
-    """A positive root on the line of H, of maximal length; None if no root is.
+def _orbit_profile(system: RootSystem, H: RootVec) -> tuple[list[int], RootVec | None]:
+    """One pass over the positive roots against H.
 
-    In a BC system both e_1 and 2e_1 lie on the same line; the longer
-    representative is returned so the classification rule sees the long
-    root.
+    Returns, per class of CLASSES[family], the number of positive roots
+    not orthogonal to H, and the longest positive root on the line of H
+    (None if no root is).  In a BC system both e_1 and 2e_1 lie on one
+    line; the longer one is returned so the rule sees the long root.
     """
-    if H.is_zero():
-        raise ValueError("H must be nonzero")
-    best = None
-    for mu in system.positive_roots:
-        if rootsys.is_parallel(mu, H):
-            if best is None or rootsys.norm_sq(mu) > rootsys.norm_sq(best):
-                best = mu
-    return best
+    counts = [0] * len(rootsys.CLASSES[system.rstype.family])
+    lam = lam_norm = None
+    for mu, c, norm in zip(
+        system.positive_roots, system.positive_classes, system.positive_norms
+    ):
+        if is_orthogonal(mu, H):
+            continue
+        counts[c] += 1
+        if (lam is None or norm > lam_norm) and rootsys.is_parallel(mu, H):
+            lam, lam_norm = mu, norm
+    return counts, lam
 
 
 @lru_cache(maxsize=4096)
@@ -147,8 +145,9 @@ def classify(pair: pairdb.Pair, H: RootVec) -> OrbitReport:
         raise ValueError("H must be nonzero")
     system = pair.system()
     folded = rootsys.primitive_ray(weyl_fold(system, H))
-    l = pairdb.orbit_dimension(pair, folded)
-    lam = parallel_root(system, folded)
+    counts, lam = _orbit_profile(system, folded)
+    # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
+    l = sum(count * m for count, (_, m) in zip(counts, pair.mult_by_class))
     if lam is None:
         return OrbitReport(
             pair=pair.label(),

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import rootsys
-from .rootsys import RootSystem, RootSystemType, RootVec, is_orthogonal
+from .rootsys import RootSystem, RootSystemType, RootVec
 
 FLAGS = frozenset(
     ["hermitian", "normal_real_form", "quaternionic_F4_exceptional", "group_manifold"]
@@ -203,7 +203,11 @@ class PairFamily:
         )
 
     def instantiations(self, p_range=None, n_range=None):
-        """All concrete pairs over the given (inclusive) parameter ranges."""
+        """All concrete pairs over the given (inclusive) parameter ranges.
+
+        A p range whose top rank is above rootsys.MAX_RANK is refused
+        before the first pair, so no caller works through the ranks below.
+        """
         if not self.uses_p:
             yield self.instantiate()
             return
@@ -211,6 +215,8 @@ class PairFamily:
         lo = max(lo, self.p_min)
         if self.p_max is not None:
             hi = min(hi, self.p_max)
+        if lo <= hi:
+            RootSystemType(self.family, hi)  # raises above rootsys.MAX_RANK
         for p in range(lo, hi + 1):
             if not self.uses_n:
                 yield self.instantiate(p=p)
@@ -386,63 +392,3 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     except ValueError as exc:
         raise PairsFormatError(str(exc), line) from None
     return fam
-
-
-def serialize(db: PairDatabase) -> str:
-    """Canonical text form of a database (modulo comments and whitespace)."""
-    blocks = []
-    for fam in db:
-        lines = [f"pair {fam.key}", f"  g {fam.g_name}", f"  k {fam.k_name}",
-                 f"  type {fam.family} {fam.rank_expr}"]
-        if fam.uses_p:
-            lines.append(f"  params p {fam.p_min} {fam.p_max if fam.p_max is not None else '*'}")
-        if fam.uses_n:
-            lines.append(f"  params n {fam.n_min} {fam.n_max if fam.n_max is not None else '*'}")
-        for tag, expr in fam.mult:
-            lines.append(f"  mult {tag} {expr}")
-        if fam.flags:
-            lines.append("  flags " + " ".join(sorted(fam.flags)))
-        lines.append(f"  dim_m {fam.dim_m_expr}")
-        for alias in fam.aliases:
-            lines.append(f"  alias {alias}")
-        lines.append("end")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
-def orbit_dimension(pair: Pair, H: RootVec) -> int:
-    """dim Ad(K)H: the sum of m(mu) over positive mu not orthogonal to H."""
-    if H.is_zero():
-        raise ValueError("H must be nonzero")
-    system = pair.system()
-    return sum(
-        pair.mult_by_class[c][1]
-        for mu, c in zip(system.positive_roots, system.positive_classes)
-        if not is_orthogonal(mu, H)
-    )
-
-
-@dataclass(frozen=True)
-class ChamberFace:
-    """The face data of a closed-chamber point: Delta and R_+^Delta."""
-
-    delta: frozenset[RootVec]
-    orthogonal_positives: tuple[RootVec, ...]
-
-
-def chamber_face(pair: Pair, H: RootVec) -> ChamberFace:
-    """Simple roots pairing positively with H, plus the positives orthogonal to H.
-
-    H must lie in the closed chamber; callers fold first (see orbits.weyl_fold).
-    """
-    system = pair.system()
-    for alpha in system.simple_roots:
-        if rootsys.inner(alpha, H) < 0:
-            raise ValueError(f"H={H!r} outside the closed chamber")
-    delta = frozenset(
-        alpha for alpha in system.simple_roots if not is_orthogonal(alpha, H)
-    )
-    orthogonal = tuple(
-        mu for mu in system.positive_roots if is_orthogonal(mu, H)
-    )
-    return ChamberFace(delta=delta, orthogonal_positives=orthogonal)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
@@ -247,24 +246,6 @@ def render_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
         return json.dumps(
             [dict(zip(headers, row)) for row in rows], indent=2
         ) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_rendered(text: str, fmt: str) -> list[dict[str, str]]:
-    """Read back a rendered table; used to diff formats against each other."""
-    if fmt == "csv":
-        return list(csv.DictReader(io.StringIO(text)))
-    if fmt == "json":
-        return json.loads(text)
-    if fmt == "md":
-        def cells(line):
-            # render_table writes a "|" inside a cell as "\|".
-            parts = re.split(r"(?<!\\)\|", line.strip()[1:-1])
-            return [c.strip().replace("\\|", "|") for c in parts]
-
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        headers = cells(lines[0])
-        return [dict(zip(headers, cells(ln))) for ln in lines[2:]]
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -137,10 +137,6 @@ def rootvec(*coords) -> RootVec:
     return RootVec(coords)
 
 
-def basis_vector(i: int, dim: int) -> RootVec:
-    return RootVec(tuple(int(j == i) for j in range(dim)))
-
-
 def inner(a: RootVec, b: RootVec) -> Fraction:
     """Exact Euclidean inner product."""
     if a.dim != b.dim:
@@ -409,7 +405,7 @@ def _build_cached(family: str, rank: int) -> RootSystem:
 
 
 def _e(i: int, dim: int) -> RootVec:
-    return basis_vector(i, dim)
+    return RootVec(tuple(int(j == i) for j in range(dim)))
 
 
 def _classical_simple(p: int) -> list[RootVec]:

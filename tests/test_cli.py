@@ -1,10 +1,13 @@
 import json
 import time
+from importlib import resources
 
 import pytest
 
-from gaussorbits import pairdb, rootsys
+from gaussorbits import rootsys
 from gaussorbits.cli import main
+
+PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
 
 
 @pytest.fixture()
@@ -47,8 +50,7 @@ class TestTable1Command:
         assert out == golden
 
     def test_check_fails_on_bad_database(self, run, tmp_path):
-        db = pairdb.load_database()
-        text = pairdb.serialize(db).replace("mult all 8", "mult all 7").replace(
+        text = PAIRS_DAT.replace("mult all 8", "mult all 7").replace(
             "dim_m 26", "dim_m 23"
         )
         path = tmp_path / "pairs.dat"
@@ -60,6 +62,14 @@ class TestTable1Command:
     def test_bad_range(self, run):
         code, _, err = run("table1", "--p-range", "6:2")
         assert code == 1
+
+    @pytest.mark.parametrize("check", [(), ("--check",)], ids=["grid", "check"])
+    def test_grid_above_the_rank_cap(self, run, check):
+        start = time.perf_counter()
+        code, out, err = run("table1", *check, "--p-range", "2:3000")
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert err == f"error: rank 3000 of A is above the largest rank {rootsys.MAX_RANK}\n"
 
 
 class TestClassifyCommand:
@@ -139,6 +149,20 @@ class TestFerusCommand:
         )
         assert code == 0
         assert "g2|so(4),,,long,true,5,4,4,true" in out
+
+    def test_certificate_for_a_huge_l(self, run):
+        start = time.perf_counter()
+        code, out, _ = run("--format", "json", "ferus", "--l", "1000000000000")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["F"] == 10**12
+
+    def test_scan_above_the_rank_cap(self, run):
+        start = time.perf_counter()
+        code, out, err = run("ferus", "--scan", "--p-range", "2:3000")
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert err == f"error: rank 3000 of A is above the largest rank {rootsys.MAX_RANK}\n"
 
     def test_flag_exclusivity(self, run):
         code, _, err = run("ferus", "--l", "5", "--scan")
@@ -229,10 +253,8 @@ class TestPairsCommand:
         assert "e8\\|su(2)+e7" in out
 
     def test_pairs_override(self, run, tmp_path):
-        db = pairdb.load_database()
-        text = pairdb.serialize(db)
         path = tmp_path / "pairs.dat"
-        path.write_text(text)
+        path.write_text(PAIRS_DAT)
         code, out, _ = run("--pairs", str(path), "pairs", "list")
         assert code == 0
         assert "g2\\|so(4)" in out

@@ -20,11 +20,14 @@ SO_XI = (
     "classify", "--pair", "so(2p+n)|so(p)+so(p+n)",
     "--p", "2", "--n", "3", "--root", "1,1", "--xi", "1,-1",
 )
+BC = ("classify", "--pair", "sp(2p+n)|sp(p)+sp(p+n)", "--p", "3", "--n", "2")
 CASES = {
     "classify_g2_short.md": G2_SHORT,
     "classify_g2_short.json": ("--format", "json", *G2_SHORT),
     "classify_so_xi.md": SO_XI,
     "classify_so_xi.json": ("--format", "json", *SO_XI),
+    "classify_bc_short.json": ("--format", "json", *BC, "--root", "short"),
+    "classify_bc_middle.md": (*BC, "--root", "middle"),
     "ferus_57.md": ("ferus", "--l", "57"),
     "ferus_57.json": ("--format", "json", "ferus", "--l", "57"),
     "appendix_g2.md": ("appendix", "--algebra", "g2"),

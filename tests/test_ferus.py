@@ -72,6 +72,13 @@ class TestFerus:
     def test_oracle_agreement_range(self):
         for l in range(1, 200):
             assert ferus.ferus(l).F == ferus_oracle(l)
+        # the same plain ascending scan up to 5000: F is non-decreasing in
+        # l, so one scan from k = 1 serves every l
+        k = 1
+        for l in range(1, 5001):
+            while adams_oracle(k) + k < l:
+                k += 1
+            assert ferus.ferus(l).F == k
 
     def test_monotone_and_bounded(self):
         values = [ferus.ferus(l).F for l in range(1, 514)]
@@ -92,6 +99,11 @@ class TestFerus:
             c, d = q % 4, q // 4
             bound = 2**c + 8 * d - 1
             assert ferus.ferus(2**q + bound + 1).F > 2**q
+
+    def test_large_l_next_to_a_power_of_two(self):
+        # A(2^40) = 2^0 + 8*10 - 1 = 80
+        assert ferus.ferus(2**40 + 80).F == 2**40
+        assert ferus.ferus(2**40 + 81).F > 2**40
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

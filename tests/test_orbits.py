@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaussorbits import linalg, orbits, pairdb, rootsys
 from gaussorbits.orbits import (
@@ -75,19 +75,29 @@ class TestWeylFold:
 
 
 class TestParallelRoot:
-    def test_bc_prefers_long(self):
-        system = rootsys.build("BC", 2)
-        assert orbits.parallel_root(system, rootvec(3, 0)) == rootvec(2, 0)
+    # The root on the line of H decides the rule, and its multiplicity is
+    # the nullity.
 
-    def test_a2_highest(self):
-        system = rootsys.build("A", 2)
+    def test_bc_prefers_long(self, db):
+        # e_1 and 2e_1 share the line of H; the nullity is m(2e_i) alone
+        pair = db.get("sp(2p+n)|sp(p)+sp(p+n)").instantiate(p=2, n=1)
+        rep = orbits.classify(pair, rootvec(3, 0))
+        assert (rep.H, rep.root_class, rep.rule) == (rootvec(1, 0), "long", RULE_LONG_ROOT)
+        assert rep.nullity == pair.multiplicity(rootvec(2, 0)) == 3
+
+    def test_a2_highest(self, db):
+        pair = db.get("e6|f4").instantiate()
+        system = pair.system()
         total = system.simple_roots[0] + system.simple_roots[1]
-        assert orbits.parallel_root(system, total) == system.highest_root
+        rep = orbits.classify(pair, total)
+        assert rep.H == system.highest_root and rep.rule == RULE_LONG_ROOT
+        assert rep.nullity == pair.multiplicity(system.highest_root)
 
-    def test_interior_none(self):
-        system = rootsys.build("A", 2)
-        h1, h2 = system.fundamental_coweights()
-        assert orbits.parallel_root(system, h1 + 2 * h2) is None
+    def test_interior_none(self, db):
+        pair = db.get("e6|f4").instantiate()
+        h1, h2 = pair.system().fundamental_coweights()
+        rep = orbits.classify(pair, h1 + 2 * h2)
+        assert (rep.rule, rep.root_class, rep.satisfies_ab) == (RULE_NOT_PARALLEL, None, None)
 
 
 class TestConditions:
@@ -212,6 +222,40 @@ class TestClassify:
                     image = rootsys.reflect(image, rng.choice(system.simple_roots))
                 assert orbits.classify(pair, image) == base
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_invariant_under_weyl_words_and_rescaling(self, db, data):
+        # every family at random p <= 8 and n within 4 of n_min; l against
+        # an oracle: all multiplicities minus those of the positives ⊥ H
+        fam = data.draw(st.sampled_from(db.families), label="family")
+        p = data.draw(st.integers(fam.p_min, 8), label="p") if fam.uses_p else None
+        n = data.draw(st.integers(fam.n_min, fam.n_min + 4), label="n") if fam.uses_n else None
+        pair = fam.instantiate(p=p, n=n)
+        system = pair.system()
+        if data.draw(st.booleans(), label="on a root ray"):
+            H = data.draw(st.sampled_from(system.positive_roots), label="root")
+        else:
+            weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
+            coeffs = data.draw(st.lists(weights, min_size=system.rank, max_size=system.rank))
+            H = sum(
+                (c * h for c, h in zip(coeffs, system.fundamental_coweights())),
+                RootVec([0] * system.ambient_dim),
+            )
+            assume(not H.is_zero())
+        word = data.draw(st.lists(st.integers(0, system.rank - 1), max_size=12))
+        scale = data.draw(st.fractions(min_value=Fraction(1, 9), max_value=9), label="scale")
+        image = H
+        for i in word:
+            image = rootsys.reflect(image, system.simple_roots[i])
+        base = orbits.classify(pair, H)
+        assert orbits.classify(pair, scale * image) == base
+        total = sum(pair.multiplicity(mu) for mu in system.positive_roots)
+        assert base.l == total - sum(
+            pair.multiplicity(mu)
+            for mu in system.positive_roots
+            if rootsys.is_orthogonal(mu, base.H)
+        )
+
     def test_bc_short_ray_is_long_orbit(self, db):
         pair = db.get("e6|so(10)+r").instantiate()
         rep = orbits.classify(pair, rootvec(1, 0))
@@ -248,7 +292,7 @@ class TestPrincipalCurvatures:
         pair = db.get("so(2p+n)|so(p)+so(p+n)").instantiate(p=2, n=3)
         spec = orbits.principal_curvatures(pair, rootvec(1, 1), rootvec(1, -1))
         assert spec.entries == ((Fraction(-1), 3), (Fraction(0), 1), (Fraction(1), 3))
-        assert spec.total() == 7
+        assert sum(m for _, m in spec.entries) == 7
 
     def test_kernel_dimension_formula(self, db):
         pair = db.get("sp(2p)|sp(p)+sp(p)").instantiate(p=3)
@@ -261,7 +305,7 @@ class TestPrincipalCurvatures:
             for mu in system.positive_roots
             if rootsys.is_orthogonal(mu, xi) and not rootsys.is_orthogonal(mu, H)
         )
-        assert spec.kernel_dimension() == expected
+        assert sum(m for value, m in spec.entries if value == 0) == expected
 
     def test_non_normal_xi_rejected(self, db):
         pair = db.get("g2|so(4)").instantiate()

@@ -1,16 +1,39 @@
+import csv
 import dataclasses
+import io
 import json
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from gaussorbits import cayley, ferus, orbits, pairdb, report, rootsys
 from gaussorbits.rootsys import rootvec
 
+PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
+
 
 @pytest.fixture(scope="module")
 def db():
     return pairdb.load_database()
+
+
+def parse_rendered(text: str, fmt: str) -> list[dict[str, str]]:
+    """Read back a rendered table, to diff formats against each other."""
+    if fmt == "csv":
+        return list(csv.DictReader(io.StringIO(text)))
+    if fmt == "json":
+        return json.loads(text)
+
+    def cells(line):
+        # render_table writes a "|" inside a cell as "\|".
+        parts = re.split(r"(?<!\\)\|", line.strip()[1:-1])
+        return [c.strip().replace("\\|", "|") for c in parts]
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    headers = cells(lines[0])
+    return [dict(zip(headers, cells(ln))) for ln in lines[2:]]
 
 
 class TestAffineRendering:
@@ -43,7 +66,7 @@ class TestTable1:
 
     def test_check_detects_bad_data(self, db):
         # a consistent but wrong database row must be flagged
-        text = pairdb.serialize(db).replace(
+        text = PAIRS_DAT.replace(
             "pair e6|f4\n  g e6\n  k f4\n  type A 2\n  mult all 8\n  dim_m 26",
             "pair e6|f4\n  g e6\n  k f4\n  type A 2\n  mult all 7\n  dim_m 23",
         )
@@ -73,15 +96,15 @@ class TestRendering:
             report.table1_cells(report.table1_rows(db)),
             report.scan_cells(scan),  # every pair cell holds a "|"
         ):
-            md = report.parse_rendered(report.render_table(headers, cells, "md"), "md")
-            csv_ = report.parse_rendered(report.render_table(headers, cells, "csv"), "csv")
-            js = report.parse_rendered(report.render_table(headers, cells, "json"), "json")
+            md = parse_rendered(report.render_table(headers, cells, "md"), "md")
+            csv_ = parse_rendered(report.render_table(headers, cells, "csv"), "csv")
+            js = parse_rendered(report.render_table(headers, cells, "json"), "json")
             assert md == csv_ == js
 
     def test_scan_cells_round_trip(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 1))
         headers, cells = report.scan_cells(rows)
-        parsed = report.parse_rendered(report.render_table(headers, cells, "csv"), "csv")
+        parsed = parse_rendered(report.render_table(headers, cells, "csv"), "csv")
         assert len(parsed) == len(rows)
         assert parsed[0]["pair"] == rows[0].pair
 
