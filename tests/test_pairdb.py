@@ -270,6 +270,6 @@ class TestExpressions:
             pairdb.eval_expr("p**2", p=2)
 
     def test_render_name(self):
-        assert pairdb.render_name("su(2p+n)", p=2, n=3) == "su(7)"
-        assert pairdb.render_name("so(10)+R") == "so(10)+R"
-        assert pairdb.render_name("su(p+1)^2", p=2) == "su(3)^2"
+        assert pairdb.compile_name("su(2p+n)")(p=2, n=3) == "su(7)"
+        assert pairdb.compile_name("so(10)+R")() == "so(10)+R"
+        assert pairdb.compile_name("su(p+1)^2")(p=2) == "su(3)^2"

@@ -372,3 +372,72 @@ class TestParallel:
         if not v.is_zero():
             assert rs.is_parallel(v, s * v)
             assert rs.is_parallel(v, -s * v)
+
+
+ORDER_TYPES = (
+    [(f, p) for f in ("A", "B", "C", "BC") for p in range(1, 13)]
+    + [("D", p) for p in range(2, 13)]
+    + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
+    + [(f, 30) for f in ("A", "B", "C", "D", "BC")]
+)
+
+
+# Last in the file: its later tests clear the build cache, and any test
+# after them would build its systems again.
+class TestIntegerOrder:
+    """The integer build against a reference made from `coords` and Fractions."""
+
+    @pytest.mark.parametrize("family,rank", ORDER_TYPES)
+    def test_matches_fraction_reference(self, family, rank):
+        system = rs.build(family, rank)
+        _, listed, highest, significance = rs._CONSTRUCTORS[family](rank)
+
+        def keys(vectors):
+            return [tuple(map(v.coords.__getitem__, significance)) for v in vectors]
+
+        # sort_key sorts the constructor's list into positive_roots, and the
+        # result is strictly increasing under the Fraction key: that is the
+        # reference sort, checked in n - 1 comparisons.
+        ordered = sorted(listed, key=system.sort_key)
+        assert system.positive_roots == tuple(ordered)
+        ks = keys(ordered)
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        norms = tuple(sum(c * c for c in k if c) for k in ks)
+        assert system.positive_norms == norms
+        index = {length: i for i, (_, length, _) in enumerate(rs.CLASSES[family])}
+        assert system.positive_classes == tuple(index[m] for m in norms)
+        assert system.highest_root == highest == ordered[-1]
+        if rank > 4:
+            return
+        # Negatives and halves too, so that int and Fraction entries meet.
+        vectors = [w for v in listed for w in (v, -v, v * Fraction(1, 2))]
+        ks = keys(sorted(vectors, key=system.sort_key))
+        assert all(a <= b for a, b in zip(ks, ks[1:]))
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
+    def test_coweights_through_the_lazy_inverse(self, family):
+        rs._build_cached.cache_clear()
+        try:
+            system = rs.build(family, 9)
+            assert system._gram_inv is None  # above rank 8 no check reads it
+            for i, h in enumerate(system.fundamental_coweights()):
+                for j, alpha in enumerate(system.simple_roots):
+                    assert rs.inner(h, alpha) == int(i == j)
+        finally:
+            rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 12), ("F4", 4)])
+    def test_wrong_highest_root_is_invariant_violation(self, monkeypatch, family, rank):
+        build = rs._CONSTRUCTORS[family]
+
+        def wrong_highest(p):
+            simple, positive, _, significance = build(p)
+            return simple, positive, positive[-1], significance
+
+        monkeypatch.setitem(rs._CONSTRUCTORS, family, wrong_highest)
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(rs.InvariantViolation, match="lexicographic maximum"):
+                rs.build(family, rank)
+        finally:
+            rs._build_cached.cache_clear()
