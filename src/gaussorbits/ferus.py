@@ -105,11 +105,12 @@ def equality_scan(
     non-degenerate rows always carry equality=False.
     """
     rows: list[ScanRow] = []
+    memo: dict = {}  # the pair-free orbit facts, shared by every n
     for family in db:
         for pair in family.instantiations(p_range=p_range, n_range=n_range):
             for orbit_spec in _SCAN_ORBITS[pair.rstype.family]:
                 H = orbits.resolve_orbit(pair, orbit_spec)
-                report = orbits.classify(pair, H)
+                report = orbits.classify(pair, H, memo)
                 f = ferus(report.l).F
                 rows.append(
                     ScanRow(

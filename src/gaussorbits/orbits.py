@@ -70,13 +70,15 @@ def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
             return current
 
 
-def _orbit_profile(system: RootSystem, H: RootVec) -> tuple[list[int], RootVec | None]:
-    """One pass over the positive roots against H.
+def _orbit_facts(system: RootSystem, H: RootVec):
+    """The facts of the orbit through the chamber point H that no pair changes.
 
-    Returns, per class of CLASSES[family], the number of positive roots
-    not orthogonal to H, and the longest positive root on the line of H
-    (None if no root is).  In a BC system both e_1 and 2e_1 lie on one
-    line; the longer one is returned so the rule sees the long root.
+    One pass over the positive roots gives, per class of
+    CLASSES[family], the number of positive roots not orthogonal to H,
+    and the longest positive root lam on the line of H (in a BC system
+    both e_1 and 2e_1 lie on one line; the longer one is kept so the rule
+    sees the long root).  Returns (counts, lam, root class of lam, (a)
+    and (b) at lam); the last three are None when no root is on the line.
     """
     counts = [0] * len(rootsys.CLASSES[system.rstype.family])
     lam = lam_norm = None
@@ -88,7 +90,10 @@ def _orbit_profile(system: RootSystem, H: RootVec) -> tuple[list[int], RootVec |
         counts[c] += 1
         if (lam is None or norm > lam_norm) and rootsys.is_parallel(mu, H):
             lam, lam_norm = mu, norm
-    return counts, lam
+    counts = tuple(counts)
+    if lam is None:
+        return counts, None, None, None
+    return counts, lam, system.root_class(lam), cond_a(system, lam) and cond_b(system, lam)
 
 
 @lru_cache(maxsize=4096)
@@ -105,9 +110,10 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     if not system.contains(lam):
         raise ValueError(f"{lam!r} is not a root")
     for nu in system.positive_roots:
-        if is_orthogonal(nu, lam):
-            if system.contains(lam + nu) or system.contains(lam - nu):
-                return False
+        # For nu orthogonal to lam the reflection in nu swaps lam + nu and
+        # lam - nu, so one is a root exactly when the other is.
+        if is_orthogonal(nu, lam) and system.contains(lam + nu):
+            return False
     return True
 
 
@@ -134,18 +140,27 @@ def resolve_orbit(pair: pairdb.Pair, spec) -> RootVec:
     raise ValueError(f"unknown orbit spec {spec!r}")
 
 
-def classify(pair: pairdb.Pair, H: RootVec) -> OrbitReport:
+def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitReport:
     """Full degeneracy report for the orbit through H.
 
     The report is scale-free: H is folded into the closed chamber and
     rescaled to the primitive integer vector on its ray, so reports of
     Weyl-equivalent and positively proportional inputs compare equal.
+
+    A caller that classifies the same (system, folded H) for many pairs
+    may pass one dict as memo to all those calls; it then holds the
+    pair-free facts of each orbit, and the pass over the roots runs once
+    per key.  Everything that depends on the pair is computed per call.
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
     system = pair.system()
     folded = rootsys.primitive_ray(weyl_fold(system, H))
-    counts, lam = _orbit_profile(system, folded)
+    memo = {} if memo is None else memo
+    key = (system, folded)
+    if key not in memo:
+        memo[key] = _orbit_facts(system, folded)
+    counts, lam, root_class, ab = memo[key]
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
     l = sum(count * m for count, (_, m) in zip(counts, pair.mult_by_class))
     if lam is None:
@@ -158,8 +173,6 @@ def classify(pair: pairdb.Pair, H: RootVec) -> OrbitReport:
             nullity=0,
             rule=RULE_NOT_PARALLEL,
         )
-    root_class = system.root_class(lam)
-    ab = cond_a(system, lam) and cond_b(system, lam)
     if root_class == "long":
         rule, degenerate = RULE_LONG_ROOT, True
     elif system.rstype.family == "G2":

@@ -68,13 +68,13 @@ class Table1Row:
                 raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
 
 
-def _classified_lr(family: pairdb.PairFamily, p: int | None, n: int | None):
+def _classified_lr(family: pairdb.PairFamily, p: int | None, n: int | None, memo: dict):
     pair = family.instantiate(p=p, n=n)
-    report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"))
+    report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
     return report.l, report.r
 
 
-def _affine_fit(family: pairdb.PairFamily) -> tuple[str, str]:
+def _affine_fit(family: pairdb.PairFamily, memo: dict) -> tuple[str, str]:
     """Affine formulas for (l, r), fitted and checked on one set of points."""
     p0 = family.p_min if family.uses_p else None
     n0 = family.n_min if family.uses_n else None
@@ -84,7 +84,7 @@ def _affine_fit(family: pairdb.PairFamily) -> tuple[str, str]:
             continue
         p = p0 + dp if family.uses_p else None
         n = n0 + dn if family.uses_n else None
-        lr[p, n] = _classified_lr(family, p, n)
+        lr[p, n] = _classified_lr(family, p, n, memo)
     formulas = []
     for component in (0, 1):
         base = lr[p0, n0][component]
@@ -100,8 +100,9 @@ def _affine_fit(family: pairdb.PairFamily) -> tuple[str, str]:
 def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
     """Symbolic classification table, one row per database family."""
     rows = []
+    memo: dict = {}
     for family in db:
-        l, r = _affine_fit(family)
+        l, r = _affine_fit(family, memo)
         args = {"p": 3} if family.uses_p else {}
         if family.uses_n:
             args["n"] = 2
@@ -139,9 +140,10 @@ def table1_instances(
 ) -> list[Table1Instance]:
     """Numeric table over a parameter grid (clipped to each row's bounds)."""
     out = []
+    memo: dict = {}
     for family in db:
         for pair in family.instantiations(p_range=p_range, n_range=n_range):
-            report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"))
+            report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
             out.append(
                 Table1Instance(
                     rstype=family.family,
@@ -195,12 +197,13 @@ def check_table1(
         if exp != got:
             problems.append(f"symbolic row differs: computed {got} expected {exp}")
     by_gk = {(row.g, row.k): row for row in expected}
+    memo: dict = {}
     for family in db:
         exp = by_gk.get((family.g_name, family.k_name))
         if exp is None:
             continue
         for pair in family.instantiations(p_range=p_range, n_range=n_range):
-            report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"))
+            report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
             want_l = pairdb.eval_expr(exp.l, p=pair.p, n=pair.n)
             want_r = pairdb.eval_expr(exp.r, p=pair.p, n=pair.n)
             if (report.l, report.r, report.nullity) != (

@@ -292,7 +292,7 @@ class RootSystem:
         "significance",
         "_class_of",
         "_pos_set",
-        "_length_classes",
+        "_class_labels",
         "_gram_inv",
     )
 
@@ -329,7 +329,12 @@ class RootSystem:
             "_class_of",
             dict(zip(positive, classes)) | dict(zip((-v for v in positive), classes)),
         )
-        object.__setattr__(self, "_length_classes", length_labels(self.positive_norms))
+        # Length label of each class index, so root_class needs no norm.
+        object.__setattr__(
+            self,
+            "_class_labels",
+            {index.get(n): label for n, label in length_labels(self.positive_norms).items()},
+        )
         object.__setattr__(self, "_gram_inv", None)
 
     def __setattr__(self, name, value):
@@ -376,9 +381,8 @@ class RootSystem:
         return v in self._pos_set
 
     def root_class(self, v: RootVec) -> str:
-        if not self.contains(v):
-            raise ValueError(f"{v!r} is not a root of {self.rstype.label()}")
-        return self._length_classes[norm_sq(v)]
+        """Length label ("long", "middle" or "short") of the root v."""
+        return self._class_labels[self.class_index(v)]
 
     def class_index(self, v: RootVec) -> int:
         """Index into CLASSES[family] of the Weyl-orbit class of the root v."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gaussorbits import linalg, orbits, pairdb, rootsys
+from gaussorbits import ferus, linalg, orbits, pairdb, report, rootsys
 from gaussorbits.orbits import (
     RULE_G2_SHORT_ROOT,
     RULE_LONG_ROOT,
@@ -163,6 +163,31 @@ class TestConditions:
         assert survivors == [
             ("G2", lam) for lam in g2.positive_roots if g2.root_class(lam) == "short"
         ]
+
+    def test_one_sided_test_of_b_matches_two_sided(self):
+        # For nu orthogonal to lam, lam + nu is a root exactly when lam - nu
+        # is; so cond_b, which tests only lam + nu, agrees with the test of
+        # both on every root of every family at rank <= 8.
+        systems = [
+            rootsys.build(f, r)
+            for f in ("A", "B", "C", "D", "BC")
+            for r in range(2 if f == "D" else 1, 9)
+        ]
+        systems += [rootsys.build(f) for f in ("E6", "E7", "E8", "F4", "G2")]
+        checked = 0
+        for system in systems:
+            positive = system.positive_roots
+            for lam in positive + tuple(-v for v in positive):
+                two_sided = True
+                for nu in positive:
+                    if rootsys.is_orthogonal(nu, lam):
+                        checked += 1
+                        plus, minus = system.contains(lam + nu), system.contains(lam - nu)
+                        assert plus == minus, (system, lam, nu)
+                        two_sided = two_sided and not (plus or minus)
+                if system.contains_positive(lam):
+                    assert orbits.cond_b(system, lam) == two_sided, (system, lam)
+        assert checked == 63096
 
 
 class TestClassify:
@@ -378,3 +403,46 @@ class TestNullityBound:
             return
         rep = orbits.classify(pair, H)
         assert rep.nullity <= orbits.nullity_upper_bound(pair, rep.H)
+
+
+class TestMemo:
+    # A memo shared by classify calls holds only what no pair changes, so
+    # sharing it across pairs never changes a report.
+
+    A_PAIRS = ("su(p+1)|so(p+1)", "su(p+1)^2|su(p+1)", "su(2p+2)|sp(p+1)")
+
+    def test_shared_across_multiplicities(self, db):
+        memo = {}
+        for p in (2, 3, 5):
+            pairs = [db.get(key).instantiate(p=p) for key in self.A_PAIRS]
+            assert [pair.mult_by_class[0][1] for pair in pairs] == [1, 2, 4]
+            system = pairs[0].system()
+            coweights = system.fundamental_coweights()
+            points = [system.highest_root, coweights[0], coweights[-1],
+                      coweights[0] + 2 * coweights[-1], -system.highest_root]
+            # both orders, so each pair reads facts another pair stored
+            for order in (pairs, pairs[::-1]):
+                for pair in order:
+                    for H in points:
+                        assert orbits.classify(pair, H, memo) == orbits.classify(pair, H)
+        assert len(memo) == 3 * 4  # one key per (system, folded ray)
+
+    def test_equality_scan_matches_memo_free_classify(self, db):
+        rows = ferus.equality_scan(db, p_range=(2, 4), n_range=(0, 3))
+        assert len({(r.pair, r.p, r.n) for r in rows}) > 50
+        for row in rows:
+            pair = db.get(row.pair).instantiate(p=row.p, n=row.n)
+            rep = orbits.classify(pair, orbits.resolve_orbit(pair, row.orbit))
+            assert (row.degenerate, row.l, row.r) == (rep.degenerate, rep.l, rep.r), row
+
+    def test_table1_instances_match_memo_free_classify(self, db):
+        instances = report.table1_instances(db, (2, 4), (0, 3))
+        pairs = [
+            pair for family in db
+            for pair in family.instantiations(p_range=(2, 4), n_range=(0, 3))
+        ]
+        assert len(instances) == len(pairs)
+        for inst, pair in zip(instances, pairs):
+            rep = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"))
+            assert (inst.p, inst.n) == (pair.p, pair.n)
+            assert (inst.l, inst.r, inst.degeneracy) == (rep.l, rep.r, rep.nullity)
