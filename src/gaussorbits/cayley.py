@@ -23,8 +23,10 @@ the gamma_i have different lengths (the G2 case).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import rootsys
 from .rootsys import (
@@ -163,17 +165,27 @@ def restricted_from_projection(system: RootSystem) -> ProjectionDatum:
         preimages.setdefault(val, set()).add(alpha)
 
     values = set(preimages)
-    for x in values:
-        nx = projected_inner(x, x, gamma_norms)
-        for y in values:
-            c = 2 * projected_inner(y, x, gamma_norms) / nx
-            if c.denominator != 1:
+    # The axioms in integers: each value scaled by the common denominator
+    # of all coefficients, each gamma norm by that of the norms, so the
+    # pairing 2<y,x>/<x,x> is a quotient of integer sums.
+    den = lcm(*(c.denominator for v in values for c in v))
+    norm_den = lcm(*(n.denominator for n in gamma_norms))
+    norms = [int(n * norm_den) for n in gamma_norms]
+    scaled = [(v, tuple(int(c * den) for c in v)) for v in values]
+    members = {vs for _, vs in scaled}
+    for x, xs in scaled:
+        weighted = list(map(operator.mul, xs, norms))
+        nx = sum(map(operator.mul, xs, weighted))
+        for y, ys in scaled:
+            pairing = 2 * sum(map(operator.mul, ys, weighted))
+            c, rest = divmod(pairing, nx)
+            if rest:
                 raise InvariantViolation(
                     f"projected set of {system.rstype.label()} is not "
-                    f"crystallographic: pairing of {y} against {x} is {c}"
+                    f"crystallographic: pairing of {y} against {x} is "
+                    f"{Fraction(pairing, nx)}"
                 )
-            reflected = tuple(b - c * a for a, b in zip(x, y))
-            if reflected not in values:
+            if tuple(b - c * a for a, b in zip(xs, ys)) not in members:
                 raise InvariantViolation(
                     f"projected set of {system.rstype.label()} is not closed under "
                     f"reflection: s_{x}({y}) missing"

@@ -62,8 +62,12 @@ def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
         raise ValueError("H must be nonzero")
     current = H
     while True:
-        for alpha in system.simple_roots:
-            if rootsys._dot_sign_num(alpha, current) < 0:
+        num = current._num
+        for alpha, support in zip(system.simple_roots, system.simple_support):
+            dot = 0
+            for i, x in support:
+                dot += x * num[i]
+            if dot < 0:
                 current = rootsys.reflect(current, alpha)
                 break
         else:
@@ -80,12 +84,15 @@ def _orbit_facts(system: RootSystem, H: RootVec):
     sees the long root).  Returns (counts, lam, root class of lam, (a)
     and (b) at lam); the last three are None when no root is on the line.
     """
+    if H.dim != system.ambient_dim:
+        raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
+    dot = rootsys._dot_sign_num
     counts = [0] * len(rootsys.CLASSES[system.rstype.family])
     lam = lam_norm = None
     for mu, c, norm in zip(
         system.positive_roots, system.positive_classes, system.positive_norms
     ):
-        if is_orthogonal(mu, H):
+        if not dot(mu, H):
             continue
         counts[c] += 1
         if (lam is None or norm > lam_norm) and rootsys.is_parallel(mu, H):
@@ -109,20 +116,28 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     """No positive root orthogonal to lam gives a root when added/subtracted."""
     if not system.contains(lam):
         raise ValueError(f"{lam!r} is not a root")
-    for nu in system.positive_roots:
+    # For nu orthogonal to lam, |lam + nu|^2 = |lam|^2 + |nu|^2, so lam + nu
+    # can be a root only when that sum is a class length; for a long lam
+    # no class passes.
+    lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
+    lam_length = lengths[system.class_index(lam)]
+    passing = {c for c, length in enumerate(lengths) if lam_length + length in lengths}
+    for nu, c in zip(system.positive_roots, system.positive_classes):
         # For nu orthogonal to lam the reflection in nu swaps lam + nu and
         # lam - nu, so one is a root exactly when the other is.
-        if is_orthogonal(nu, lam) and system.contains(lam + nu):
+        if c in passing and is_orthogonal(nu, lam) and system.contains(lam + nu):
             return False
     return True
 
 
 @lru_cache(maxsize=1024)
 def _canonical_class_rep(system: RootSystem, spec: str) -> RootVec:
-    members = [v for v in system.positive_roots if system.root_class(v) == spec]
-    if not members:
-        raise ValueError(f"no {spec} roots in {system.rstype.label()}")
-    return max(members, key=system.sort_key)
+    # positive_roots ascend in sort_key order, so the last root of the
+    # class is its maximum.
+    for v in reversed(system.positive_roots):
+        if system.root_class(v) == spec:
+            return v
+    raise ValueError(f"no {spec} roots in {system.rstype.label()}")
 
 
 def resolve_orbit(pair: pairdb.Pair, spec) -> RootVec:

@@ -21,6 +21,7 @@ E6/E7/E8, and (e3, e1, e2) for G2.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -146,13 +147,14 @@ def inner(a: RootVec, b: RootVec) -> Fraction:
     """Exact Euclidean inner product."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return Fraction(sum(x * y for x, y in zip(a._num, b._num)), a._den * b._den)
+    return Fraction(_dot_sign_num(a, b), a._den * b._den)
 
 
 def _dot_sign_num(a: RootVec, b: RootVec) -> int:
     # Numerator of <a, b> over the positive denominator a._den * b._den;
-    # valid for zero/sign tests without building a Fraction.
-    return sum(x * y for x, y in zip(a._num, b._num))
+    # valid for zero/sign tests without building a Fraction.  The caller
+    # checks the dimensions.
+    return sum(map(operator.mul, a._num, b._num))
 
 
 def is_orthogonal(a: RootVec, b: RootVec) -> bool:
@@ -166,6 +168,8 @@ def primitive_ray(v: RootVec) -> RootVec:
     if v.is_zero():
         raise ValueError("zero vector has no ray")
     g = gcd(*v._num)
+    if g == 1 and v._den == 1:
+        return v
     return RootVec._raw(tuple(x // g for x in v._num), 1)
 
 
@@ -285,6 +289,7 @@ class RootSystem:
         "rstype",
         "ambient_dim",
         "simple_roots",
+        "simple_support",
         "positive_roots",
         "positive_norms",
         "positive_classes",
@@ -301,6 +306,16 @@ class RootSystem:
         object.__setattr__(self, "rstype", rstype)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "simple_roots", tuple(simple_roots))
+        # The nonzero (index, numerator) pairs of each simple root, so a
+        # sign test against a simple root reads only those coordinates.
+        object.__setattr__(
+            self,
+            "simple_support",
+            tuple(
+                tuple((i, x) for i, x in enumerate(s._num) if x)
+                for s in self.simple_roots
+            ),
+        )
         # Sort on integers: every numerator scaled to the common denominator
         # of the roots, read in significance order.
         den = lcm(*(v._den for v in positive_roots))
@@ -594,8 +609,8 @@ def reflect(v: RootVec, alpha: RootVec) -> RootVec:
     """Reflection of v in the hyperplane orthogonal to alpha."""
     # c = 2<v,a>/<a,a> = c_num/c_den with the denominators kept integral;
     # assembled in scaled-integer space to avoid per-coordinate Fractions.
-    c_num = 2 * sum(x * y for x, y in zip(v._num, alpha._num)) * alpha._den
-    c_den = v._den * sum(x * x for x in alpha._num)
+    c_num = 2 * _dot_sign_num(v, alpha) * alpha._den
+    c_den = v._den * _dot_sign_num(alpha, alpha)
     num = tuple(
         x * c_den * alpha._den - c_num * y * v._den
         for x, y in zip(v._num, alpha._num)

@@ -339,3 +339,33 @@ class TestVerifyAppendix:
     def test_projection_needs_m_roots(self):
         with pytest.raises(InvariantViolation):
             cayley._identify_type({(Fraction(1),), (Fraction(-1),), (Fraction(3),), (Fraction(-3),)}, (Fraction(2),))
+
+
+class TestProjectionAxioms:
+    # A bad gamma set makes the projected values fail the root-system
+    # axioms; each A2 set below fails exactly one of the two checks.
+
+    @staticmethod
+    def _project_with(monkeypatch, gammas):
+        monkeypatch.setattr(cayley, "strongly_orthogonal", lambda Q, system: gammas)
+        return cayley.restricted_from_projection(rootsys.build("A", 2))
+
+    def test_not_crystallographic(self, monkeypatch):
+        # the simple roots are not orthogonal, so the projected pairings
+        # come out as -8/5 and the like
+        gammas = rootsys.build("A", 2).simple_roots
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^projected set of A2 is not crystallographic: pairing of .* is -?\d+/\d+$",
+        ):
+            self._project_with(monkeypatch, gammas)
+
+    def test_not_closed(self, monkeypatch):
+        # rescaled fundamental coweights: the values (1,0), (0,1), (1,1) and
+        # their negatives pair integrally, but s_(1,0)(1,1) = (-1,1) is missing
+        gammas = (rootvec(2, -1, -1), rootvec(1, 1, -2))
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^projected set of A2 is not closed under reflection: s_.* missing$",
+        ):
+            self._project_with(monkeypatch, gammas)

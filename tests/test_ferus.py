@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -188,3 +190,16 @@ class TestEqualityScan:
         rows = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 2))
         assert {r.p for r in rows if r.pair == "su(p+1)|so(p+1)"} == {2, 3}
         assert {r.n for r in rows if r.pair == "so(2p+n)|so(p)+so(p+n)"} == {1, 2}
+
+
+def test_wide_scan_csv_is_unchanged(db):
+    # Digest of the 5794-row wide-grid scan as CSV, recorded before the
+    # per-row and per-orbit fast paths of the scan.
+    from gaussorbits import report
+
+    rows = ferus.equality_scan(db, (2, 30), (0, 30))
+    text = report.render_table(*report.scan_cells(rows), "csv")
+    assert len(rows) == 5794
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a7b3cd600274228c10536d217b374729d9bf7b9629fdba7a52dfd53125e8ffac"
+    )

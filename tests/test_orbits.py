@@ -74,6 +74,67 @@ class TestWeylFold:
                 assert orbits.weyl_fold(system, image) == base
 
 
+def _systems(max_rank):
+    for family in rootsys.FAMILIES:
+        fixed = rootsys._FIXED_RANK.get(family)
+        if fixed is not None:
+            if fixed <= max_rank:
+                yield rootsys.build(family)
+            continue
+        for rank in range(2 if family == "D" else 1, max_rank + 1):
+            yield rootsys.build(family, rank)
+
+
+def _dense_fold(system, H):
+    # Reference: reflect in the first simple root with a negative Fraction
+    # inner product until none is left.
+    while True:
+        for alpha in system.simple_roots:
+            if rootsys.inner(alpha, H) < 0:
+                H = rootsys.reflect(H, alpha)
+                break
+        else:
+            return H
+
+
+class TestFoldReference:
+    def test_weyl_fold_matches_dense_fold(self):
+        rng = random.Random(5)
+        for system in _systems(6):
+            coweights = system.fundamental_coweights()
+            points = list(system.positive_roots[:4]) + [system.highest_root]
+            for _ in range(6):
+                H = RootVec([0] * system.ambient_dim)
+                for w in coweights:
+                    H = H + Fraction(rng.randint(0, 3), rng.randint(1, 3)) * w
+                if not H.is_zero():
+                    points.append(H)
+            for H in points:
+                image = H
+                for _ in range(rng.randint(0, 12)):
+                    image = rootsys.reflect(image, rng.choice(system.simple_roots))
+                for v in (image, -image, 3 * image):
+                    assert orbits.weyl_fold(system, v) == _dense_fold(system, v), (
+                        system, v)
+
+
+class TestCanonicalClassRep:
+    def test_is_the_sort_key_maximum_of_its_class(self):
+        systems = list(_systems(8)) + [
+            rootsys.build(family, 30) for family in ("A", "B", "C", "D", "BC")
+        ]
+        for system in systems:
+            for spec in ("long", "middle", "short"):
+                members = [v for v in system.positive_roots
+                           if system.root_class(v) == spec]
+                if not members:
+                    with pytest.raises(ValueError, match="no .* roots in"):
+                        orbits._canonical_class_rep(system, spec)
+                    continue
+                assert orbits._canonical_class_rep(system, spec) == max(
+                    members, key=system.sort_key), (system, spec)
+
+
 class TestParallelRoot:
     # The root on the line of H decides the rule, and its multiplicity is
     # the nullity.
