@@ -122,7 +122,9 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
     lam_length = lengths[system.class_index(lam)]
     passing = {c for c, length in enumerate(lengths) if lam_length + length in lengths}
-    for nu, c in zip(system.positive_roots, system.positive_classes):
+    # Walked from the top: a short lam's witness sits there (e_1 - e_2 for
+    # lam = e_1 + e_2 in C_p), and the answer does not depend on the order.
+    for nu, c in zip(reversed(system.positive_roots), reversed(system.positive_classes)):
         # For nu orthogonal to lam the reflection in nu swaps lam + nu and
         # lam - nu, so one is a root exactly when the other is.
         if c in passing and is_orthogonal(nu, lam) and system.contains(lam + nu):

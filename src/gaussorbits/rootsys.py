@@ -2,10 +2,12 @@
 
 Root systems are realised in their standard Bourbaki coordinates (type A
 keeps the p+1 zero-sum coordinates, E8 uses half-integer entries).  A
-vector is stored as integers over one common denominator; construction,
-arithmetic, hashing, the sort of the roots and the simple-root
+vector is stored as integers over one common denominator; the
+construction of the roots, arithmetic, hashing, reflection, the sort of
+the roots, their squared lengths and classes, and the simple-root
 coefficients run on those integers.  `fractions.Fraction` appears at the
-API edge (`coords`, `inner`, the values `simple_coefficients` returns,
+API edge (the `RootVec` constructor and `coords`, the scalar of `*`,
+`inner` and `norm_sq`, the values `simple_coefficients` returns,
 `sort_key` of a non-integral vector) and in the one inversion of the
 Gram matrix of a system.  So every membership, orthogonality and
 proportionality test in this package is decided exactly.
@@ -56,16 +58,12 @@ class RootVec:
     @classmethod
     def _raw(cls, num: tuple[int, ...], den: int) -> "RootVec":
         # Internal fast path: integer data, normalised here.
-        g = gcd(den, *num)
-        if g > 1:
-            den //= g
-            num = tuple(x // g for x in num)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_num", num)
-        object.__setattr__(obj, "_den", den)
-        object.__setattr__(obj, "_hash", hash((num, den)))
-        object.__setattr__(obj, "_coords", None)
-        return obj
+        if den != 1:
+            g = gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = tuple(x // g for x in num)
+        return _reduced(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootVec is immutable")
@@ -104,7 +102,8 @@ class RootVec:
         return RootVec._raw(tuple(x - y for x, y in zip(a, b)), den)
 
     def __neg__(self) -> "RootVec":
-        return RootVec._raw(tuple(-x for x in self._num), self._den)
+        # Negation keeps numerators and denominator in lowest terms.
+        return _reduced(tuple(map(operator.neg, self._num)), self._den)
 
     def __mul__(self, scalar) -> "RootVec":
         s = Fraction(scalar)
@@ -137,6 +136,23 @@ class RootVec:
             return cls(Fraction(part.strip()) for part in text.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse vector {text!r}: {exc}") from None
+
+
+# The slot setters, since RootVec.__setattr__ refuses every write.
+_set_num = RootVec._num.__set__
+_set_den = RootVec._den.__set__
+_set_hash = RootVec._hash.__set__
+_set_coords = RootVec._coords.__set__
+
+
+def _reduced(num: tuple[int, ...], den: int) -> RootVec:
+    # A RootVec from integer data already in lowest terms, gcd(den, *num) == 1.
+    obj = object.__new__(RootVec)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    _set_hash(obj, hash((num, den)))
+    _set_coords(obj, None)
+    return obj
 
 
 def rootvec(*coords) -> RootVec:
@@ -194,11 +210,11 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
 # Largest rank a system is built at, a guard against runaway input.  A
 # build's time grows between the square and the cube of the rank; in a
-# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 3):
-#   rank     A       B       C       BC
-#    30    0.02 s  0.03 s  0.03 s  0.04 s
-#    50    0.06 s  0.12 s  0.11 s  0.13 s
-#    70    0.12 s  0.29 s  0.31 s  0.32 s
+# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 5):
+#   rank     A        B        C        BC
+#    30    0.003 s  0.005 s  0.005 s  0.005 s
+#    50    0.010 s  0.020 s  0.020 s  0.020 s
+#    70    0.024 s  0.049 s  0.049 s  0.050 s
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
@@ -319,36 +335,38 @@ class RootSystem:
         # Sort on integers: every numerator scaled to the common denominator
         # of the roots, read in significance order.
         den = lcm(*(v._den for v in positive_roots))
-        positive = tuple(
-            sorted(
+        if den == 1:
+            get = operator.itemgetter(*significance)
+            positive = tuple(sorted(positive_roots, key=lambda v: get(v._num)))
+        else:
+            positive = tuple(sorted(
                 positive_roots,
                 key=lambda v: tuple(v._num[i] * (den // v._den) for i in significance),
-            )
-        )
+            ))
         object.__setattr__(self, "positive_roots", positive)
-        object.__setattr__(
-            self, "positive_norms", tuple(norm_sq(v) for v in positive)
-        )
+        # Squared lengths as ints (a Fraction only for a non-integral one),
+        # equal to the Fractions norm_sq gives.
+        norms = []
+        for v in positive:
+            n, d2 = _dot_sign_num(v, v), v._den * v._den
+            norms.append(Fraction(n, d2) if n % d2 else n // d2)
+        object.__setattr__(self, "positive_norms", tuple(norms))
         # Class index into CLASSES[family] of each positive root; None for a
         # length no class has, which _check_build rejects.
-        index = {
-            Fraction(length): i for i, (_, length, _) in enumerate(CLASSES[rstype.family])
-        }
-        classes = tuple(index.get(norm) for norm in self.positive_norms)
+        index = {length: i for i, (_, length, _) in enumerate(CLASSES[rstype.family])}
+        classes = tuple(map(index.get, norms))
         object.__setattr__(self, "positive_classes", classes)
         object.__setattr__(self, "highest_root", highest_root)
         object.__setattr__(self, "significance", tuple(significance))
         object.__setattr__(self, "_pos_set", frozenset(positive))
-        object.__setattr__(
-            self,
-            "_class_of",
-            dict(zip(positive, classes)) | dict(zip((-v for v in positive), classes)),
-        )
+        class_of = dict(zip(positive, classes))
+        class_of.update(zip(map(operator.neg, positive), classes))
+        object.__setattr__(self, "_class_of", class_of)
         # Length label of each class index, so root_class needs no norm.
         object.__setattr__(
             self,
             "_class_labels",
-            {index.get(n): label for n, label in length_labels(self.positive_norms).items()},
+            {index.get(n): label for n, label in length_labels(norms).items()},
         )
         object.__setattr__(self, "_gram_inv", None)
 
@@ -370,7 +388,7 @@ class RootSystem:
         """
         num, den = v._num, v._den
         if den == 1:
-            return tuple(num[i] for i in self.significance)
+            return tuple(map(num.__getitem__, self.significance))
         return tuple(Fraction(num[i], den) for i in self.significance)
 
     def _gram_inverse(self):
@@ -407,17 +425,23 @@ class RootSystem:
 
     def simple_coefficients(self, v: RootVec) -> tuple[Fraction, ...]:
         """Coefficients of v in the simple-root basis (v must lie in the span)."""
+        w, e, q = self._coefficient_numerators(v)
+        return tuple(Fraction(e * wi, q) for wi in w)
+
+    def _coefficient_numerators(self, v: RootVec):
+        # The coefficients of v in the simple-root basis are e * w_i / q with
+        # e, q > 0, so their signs are those of the integers w_i.
         if v.dim != self.ambient_dim:
             raise ValueError(f"dimension mismatch: {self.ambient_dim} vs {v.dim}")
         rows, e, m, d = self._gram_inverse()
         # With V = v._num: coefficient i is e * w_i / (d * v._den), where
         # w = m (rows V); v is in the span exactly when sum_i w_i rows_i = d V.
-        sv = [sum(x * y for x, y in zip(row, v._num)) for row in rows]
-        w = [sum(x * y for x, y in zip(mrow, sv)) for mrow in m]
+        sv = [sum(map(operator.mul, row, v._num)) for row in rows]
+        w = [sum(map(operator.mul, mrow, sv)) for mrow in m]
         back = [sum(wi * row[k] for wi, row in zip(w, rows)) for k in range(v.dim)]
         if back != [d * x for x in v._num]:
             raise ValueError(f"{v!r} is not in the span of the simple roots")
-        return tuple(Fraction(e * wi, d * v._den) for wi in w)
+        return w, e, d * v._den
 
     def simple_combination(self, coeffs) -> RootVec:
         """The vector sum(c_i * alpha_i) for Bourbaki-numbered simple roots."""
@@ -463,58 +487,63 @@ def _build_cached(family: str, rank: int) -> RootSystem:
     return system
 
 
-def _e(i: int, dim: int) -> RootVec:
+def _vec(dim: int, *entries) -> RootVec:
+    # The integral vector with the given (index, value) entries, zero elsewhere.
     num = [0] * dim
-    num[i] = 1
-    return RootVec._raw(tuple(num), 1)
+    for i, x in entries:
+        num[i] = x
+    return _reduced(tuple(num), 1)
+
+
+def _pair_roots(p: int, signs=(1, -1)) -> list[RootVec]:
+    # e_i + s e_j for i < j and each s in signs: one tuple and one RootVec
+    # per root.
+    zero = [0] * p
+    out = []
+    for i in range(p):
+        for j in range(i + 1, p):
+            for s in signs:
+                num = zero.copy()
+                num[i] = 1
+                num[j] = s
+                out.append(_reduced(tuple(num), 1))
+    return out
 
 
 def _classical_simple(p: int) -> list[RootVec]:
-    return [_e(i, p) - _e(i + 1, p) for i in range(p - 1)]
+    return [_vec(p, (i, 1), (i + 1, -1)) for i in range(p - 1)]
 
 
 def _build_a(p: int):
     dim = p + 1
-    simple = [_e(i, dim) - _e(i + 1, dim) for i in range(p)]
-    positive = [_e(i, dim) - _e(j, dim) for i in range(dim) for j in range(i + 1, dim)]
-    highest = _e(0, dim) - _e(p, dim)
+    simple = _classical_simple(dim)
+    positive = _pair_roots(dim, (-1,))
+    highest = _vec(dim, (0, 1), (p, -1))
     return simple, positive, highest, tuple(range(dim))
 
 
 def _build_b(p: int):
-    simple = _classical_simple(p) + [_e(p - 1, p)]
-    positive = [_e(i, p) for i in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            positive += [_e(i, p) + _e(j, p), _e(i, p) - _e(j, p)]
-    highest = _e(0, p) + _e(1, p) if p >= 2 else _e(0, p)
+    simple = _classical_simple(p) + [_vec(p, (p - 1, 1))]
+    positive = [_vec(p, (i, 1)) for i in range(p)] + _pair_roots(p)
+    highest = _vec(p, (0, 1), (1, 1)) if p >= 2 else _vec(p, (0, 1))
     return simple, positive, highest, tuple(range(p))
 
 
 def _build_c(p: int):
-    simple = _classical_simple(p) + [2 * _e(p - 1, p)]
-    positive = [2 * _e(i, p) for i in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            positive += [_e(i, p) + _e(j, p), _e(i, p) - _e(j, p)]
-    highest = 2 * _e(0, p)
-    return simple, positive, highest, tuple(range(p))
+    simple = _classical_simple(p) + [_vec(p, (p - 1, 2))]
+    positive = [_vec(p, (i, 2)) for i in range(p)] + _pair_roots(p)
+    return simple, positive, _vec(p, (0, 2)), tuple(range(p))
 
 
 def _build_d(p: int):
-    simple = _classical_simple(p) + [_e(p - 2, p) + _e(p - 1, p)]
-    positive = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            positive += [_e(i, p) + _e(j, p), _e(i, p) - _e(j, p)]
-    highest = _e(0, p) + _e(1, p)
-    return simple, positive, highest, tuple(range(p))
+    simple = _classical_simple(p) + [_vec(p, (p - 2, 1), (p - 1, 1))]
+    return simple, _pair_roots(p), _vec(p, (0, 1), (1, 1)), tuple(range(p))
 
 
 def _build_bc(p: int):
     simple, b_pos, _, sig = _build_b(p)
-    positive = b_pos + [2 * _e(i, p) for i in range(p)]
-    return simple, positive, 2 * _e(0, p), sig
+    positive = b_pos + [_vec(p, (i, 2)) for i in range(p)]
+    return simple, positive, _vec(p, (0, 2)), sig
 
 
 def _build_g2(_rank: int):
@@ -531,10 +560,7 @@ def _build_f4(_rank: int):
         rootvec(0, 0, 0, 1),
         rootvec(HALF, -HALF, -HALF, -HALF),
     ]
-    positive = [_e(i, 4) for i in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            positive += [_e(i, 4) + _e(j, 4), _e(i, 4) - _e(j, 4)]
+    positive = [_vec(4, (i, 1)) for i in range(4)] + _pair_roots(4)
     for signs in itertools.product((1, -1), repeat=3):
         positive.append(RootVec((HALF,) + tuple(HALF * s for s in signs)))
     return simple, positive, rootvec(1, 1, 0, 0), (0, 1, 2, 3)
@@ -542,8 +568,8 @@ def _build_f4(_rank: int):
 
 def _e_series_simple() -> list[RootVec]:
     a1 = RootVec((HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF))
-    out = [a1, _e(0, 8) + _e(1, 8)]
-    out += [_e(i + 1, 8) - _e(i, 8) for i in range(7)]
+    out = [a1, _vec(8, (0, 1), (1, 1))]
+    out += [_vec(8, (i + 1, 1), (i, -1)) for i in range(7)]
     return out  # alpha_1, alpha_2, alpha_3..alpha_9 pattern; callers slice
 
 
@@ -552,11 +578,11 @@ def _build_e8(_rank: int):
     positive = []
     for j in range(8):
         for i in range(j):
-            positive += [_e(j, 8) + _e(i, 8), _e(j, 8) - _e(i, 8)]
+            positive += [_vec(8, (j, 1), (i, 1)), _vec(8, (j, 1), (i, -1))]
     for signs in itertools.product((1, -1), repeat=7):
         if signs.count(-1) % 2 == 0:
             positive.append(RootVec(tuple(HALF * s for s in signs) + (HALF,)))
-    highest = _e(6, 8) + _e(7, 8)
+    highest = _vec(8, (6, 1), (7, 1))
     return simple, positive, highest, tuple(reversed(range(8)))
 
 
@@ -565,14 +591,14 @@ def _build_e7(_rank: int):
     positive = []
     for j in range(6):
         for i in range(j):
-            positive += [_e(j, 8) + _e(i, 8), _e(j, 8) - _e(i, 8)]
-    positive.append(_e(7, 8) - _e(6, 8))
+            positive += [_vec(8, (j, 1), (i, 1)), _vec(8, (j, 1), (i, -1))]
+    positive.append(_vec(8, (7, 1), (6, -1)))
     for signs in itertools.product((1, -1), repeat=6):
         if signs.count(-1) % 2 == 1:
             positive.append(
                 RootVec(tuple(HALF * s for s in signs) + (-HALF, HALF))
             )
-    highest = _e(7, 8) - _e(6, 8)
+    highest = _vec(8, (7, 1), (6, -1))
     return simple, positive, highest, tuple(reversed(range(8)))
 
 
@@ -581,7 +607,7 @@ def _build_e6(_rank: int):
     positive = []
     for j in range(5):
         for i in range(j):
-            positive += [_e(j, 8) + _e(i, 8), _e(j, 8) - _e(i, 8)]
+            positive += [_vec(8, (j, 1), (i, 1)), _vec(8, (j, 1), (i, -1))]
     for signs in itertools.product((1, -1), repeat=5):
         if signs.count(-1) % 2 == 0:
             positive.append(
@@ -607,15 +633,20 @@ _CONSTRUCTORS = {
 
 def reflect(v: RootVec, alpha: RootVec) -> RootVec:
     """Reflection of v in the hyperplane orthogonal to alpha."""
-    # c = 2<v,a>/<a,a> = c_num/c_den with the denominators kept integral;
-    # assembled in scaled-integer space to avoid per-coordinate Fractions.
-    c_num = 2 * _dot_sign_num(v, alpha) * alpha._den
-    c_den = v._den * _dot_sign_num(alpha, alpha)
-    num = tuple(
-        x * c_den * alpha._den - c_num * y * v._den
-        for x, y in zip(v._num, alpha._num)
+    dot = _dot_sign_num(v, alpha)
+    if not dot:
+        return v
+    # With v = V / d, alpha = A / a and n / m = 2<V, A> / <A, A> in lowest
+    # terms, the image is (m V - n A) / (m d): a drops out, and m is 1 for
+    # roots.
+    n, m = 2 * dot, _dot_sign_num(alpha, alpha)
+    g = gcd(n, m)
+    n //= g
+    m //= g
+    return RootVec._raw(
+        tuple(map(operator.sub, map(m.__mul__, v._num), map(n.__mul__, alpha._num))),
+        m * v._den,
     )
-    return RootVec._raw(num, v._den * c_den * alpha._den)
 
 
 def reflection_closure(simple_roots) -> set[RootVec]:
@@ -640,24 +671,25 @@ def reflection_closure(simple_roots) -> set[RootVec]:
 
 def _check_build(system: RootSystem) -> None:
     family, rank = system.rstype.family, system.rank
-    for v, c in zip(system.positive_roots, system.positive_classes):
-        if c is None:
-            raise InvariantViolation(
-                f"{system.rstype.label()}: positive root {v!r} fits no length class"
-            )
+    classes = system.positive_classes
+    if None in classes:
+        v = system.positive_roots[classes.index(None)]
+        raise InvariantViolation(
+            f"{system.rstype.label()}: positive root {v!r} fits no length class"
+        )
     for i, (tag, _, count) in enumerate(CLASSES[family]):
-        got = system.positive_classes.count(i)
+        got = classes.count(i)
         if got != count(rank):
             raise InvariantViolation(
                 f"{system.rstype.label()}: {got} positive roots of class {tag}, "
                 f"expected {count(rank)}"
             )
-    if len(set(system.positive_roots)) != len(system.positive_roots):
+    if len(system._pos_set) != len(system.positive_roots):
         raise InvariantViolation(f"{system.rstype.label()}: duplicate positive roots")
     if not system.contains_positive(system.highest_root):
         raise InvariantViolation(f"{system.rstype.label()}: highest root not positive")
-    key = system.sort_key
-    if max(system.positive_roots, key=key) != system.highest_root:
+    # positive_roots ascend in sort_key order, so the last is the maximum.
+    if system.positive_roots[-1] != system.highest_root:
         raise InvariantViolation(
             f"{system.rstype.label()}: highest root is not the lexicographic maximum"
         )
@@ -666,12 +698,13 @@ def _check_build(system: RootSystem) -> None:
     # Independent reconstruction: reflection closure of the simple roots,
     # doubling the short roots in the non-reduced case.
     closure = reflection_closure(system.simple_roots)
+    key = system.sort_key
     zero_key = (0,) * system.ambient_dim
     pos = {v for v in closure if key(v) > zero_key}
     if family == "BC":
         shortest = min(norm_sq(v) for v in pos)
         pos |= {2 * v for v in pos if norm_sq(v) == shortest}
-    if pos != set(system.positive_roots):
+    if pos != system._pos_set:
         raise InvariantViolation(
             f"{system.rstype.label()}: reflection closure disagrees with the "
             f"explicit root list"
@@ -679,8 +712,8 @@ def _check_build(system: RootSystem) -> None:
     reducible = family == "D" and rank == 2
     if not reducible:
         for mu in system.positive_roots:
-            coeffs = system.simple_coefficients(system.highest_root - mu)
-            if any(c < 0 for c in coeffs):
+            w, _, _ = system._coefficient_numerators(system.highest_root - mu)
+            if any(x < 0 for x in w):
                 raise InvariantViolation(
                     f"{system.rstype.label()}: highest root does not dominate {mu!r}"
                 )

@@ -361,6 +361,33 @@ class TestExceptionalTranscription:
             assert count == want
 
 
+def _reflect_reference(v, alpha):
+    return v - (2 * rs.inner(v, alpha) / rs.norm_sq(alpha)) * alpha
+
+
+def _vectors_of_dim(d):
+    return st.lists(rationals, min_size=d, max_size=d).map(RootVec)
+
+
+class TestReflect:
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.tuples(_vectors_of_dim(d), _vectors_of_dim(d))
+    ))
+    def test_matches_fractions(self, pair):
+        v, alpha = pair
+        if not alpha.is_zero():
+            assert rs.reflect(v, alpha) == _reflect_reference(v, alpha)
+
+    @pytest.mark.parametrize("family,rank", [("E8", 8), ("F4", 4), ("G2", 2), ("BC", 3)])
+    def test_roots_in_simple_roots(self, family, rank):
+        # Integral and half-integral roots against integral and half-integral
+        # simple roots.
+        system = rs.build(family, rank)
+        for v in system.positive_roots + tuple(3 * s for s in system.simple_roots):
+            for alpha in system.simple_roots:
+                assert rs.reflect(v, alpha) == _reflect_reference(v, alpha)
+
+
 class TestParallel:
     def test_parallel_pairs(self):
         assert rs.is_parallel(rootvec(2, -4), rootvec(-1, 2))
@@ -382,8 +409,23 @@ ORDER_TYPES = (
 )
 
 
-# Last in the file: its later tests clear the build cache, and any test
-# after them would build its systems again.
+class TestNegation:
+    """Negatives and their membership and classes, from `coords`."""
+
+    @pytest.mark.parametrize("family,rank", ORDER_TYPES)
+    def test_negation_matches_coords(self, family, rank):
+        system = rs.build(family, rank)
+        for v in system.positive_roots:
+            neg = -v
+            ref = RootVec([-c for c in v.coords])
+            assert neg == ref and hash(neg) == hash(ref)
+            assert -neg == v and hash(-neg) == hash(v)
+            assert system.contains(neg)
+            assert system.class_index(neg) == system.class_index(v)
+
+
+# These two classes clear the build cache in their tests, so they come
+# last: any test after them would build its systems again.
 class TestIntegerOrder:
     """The integer build against a reference made from `coords` and Fractions."""
 
@@ -441,3 +483,59 @@ class TestIntegerOrder:
                 rs.build(family, rank)
         finally:
             rs._build_cached.cache_clear()
+
+
+class TestCheckBuild:
+    """`_check_build` rejects a constructor's list that is not the root system."""
+
+    def _build_with(self, monkeypatch, family, rank, edit):
+        build = rs._CONSTRUCTORS[family]
+
+        def edited(p):
+            simple, positive, highest, significance = build(p)
+            return simple, edit(list(positive)), highest, significance
+
+        monkeypatch.setitem(rs._CONSTRUCTORS, family, edited)
+        rs._build_cached.cache_clear()
+        try:
+            return rs.build(family, rank)
+        finally:
+            rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 12), ("G2", 2)])
+    def test_duplicate_positive_roots(self, monkeypatch, family, rank):
+        system = rs.build(family, rank)
+        lowest = system.positive_roots[0]
+        # Drop another root of the lowest root's class and repeat the
+        # lowest, so every class keeps its count.
+        dropped = next(
+            v for v in system.positive_roots[1:]
+            if system.class_index(v) == system.class_index(lowest)
+            and v != system.highest_root
+        )
+
+        def edit(positive):
+            positive.remove(dropped)
+            return positive + [lowest]
+
+        with pytest.raises(rs.InvariantViolation, match="duplicate positive roots"):
+            self._build_with(monkeypatch, family, rank, edit)
+
+    @pytest.mark.parametrize("family,rank,dropped,stranger", [
+        # e_2 + e_3 is not a root of A3; (1, 1, 1, 1) is not one of C4.
+        ("A", 3, rootvec(0, 0, 1, -1), rootvec(0, 1, 1, 0)),
+        ("C", 4, rootvec(0, 0, 0, 2), rootvec(1, 1, 1, 1)),
+    ])
+    def test_reflection_closure_disagreement(
+        self, monkeypatch, family, rank, dropped, stranger
+    ):
+        system = rs.build(family, rank)
+        assert system.contains_positive(dropped) and not system.contains(stranger)
+        assert rs.norm_sq(stranger) == rs.norm_sq(dropped)
+        assert system.sort_key(stranger) < system.sort_key(system.highest_root)
+
+        def edit(positive):
+            return [stranger if v == dropped else v for v in positive]
+
+        with pytest.raises(rs.InvariantViolation, match="reflection closure disagrees"):
+            self._build_with(monkeypatch, family, rank, edit)
