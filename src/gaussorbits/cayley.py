@@ -60,7 +60,7 @@ def strongly_orthogonal(Q, system: RootSystem) -> tuple[RootVec, ...]:
     if any(not system.contains_positive(v) for v in remaining):
         raise ValueError("Q must consist of positive roots of the system")
     while remaining:
-        gamma = rootsys.lowest_root(remaining, system.sort_key)
+        gamma = min(remaining, key=system.sort_key)
         gammas.append(gamma)
         remaining = [
             b
@@ -126,8 +126,7 @@ def _identify_type(values: set[Projected], gamma_norms) -> RootSystemType:
         ]
 
     got = cartan(simples, lambda a, b: projected_inner(a, b, gamma_norms))
-    candidates = ["A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2"]
-    for family in candidates:
+    for family in rootsys.FAMILIES:
         try:
             sys2 = rootsys.build(family, rank)
         except ValueError:

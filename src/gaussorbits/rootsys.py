@@ -8,9 +8,8 @@ the roots, their squared lengths and classes, and the simple-root
 coefficients run on those integers.  `fractions.Fraction` appears at the
 API edge (the `RootVec` constructor and `coords`, the scalar of `*`,
 `inner` and `norm_sq`, the values `simple_coefficients` returns,
-`sort_key` of a non-integral vector) and in the one inversion of the
-Gram matrix of a system.  So every membership, orthogonality and
-proportionality test in this package is decided exactly.
+`sort_key` of a non-integral vector).  So every membership, orthogonality
+and proportionality test in this package is decided exactly.
 
 Each family carries a fixed coordinate-significance order that defines
 the lexicographic order used throughout (``RootSystem.sort_key``).  The
@@ -28,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import linalg
-
 HALF = Fraction(1, 2)
 
 
@@ -42,10 +39,10 @@ class RootVec:
 
     The coordinates are stored as integers over one reduced common
     denominator, which keeps inner products, arithmetic and hashing
-    cheap; `coords` materialises them as Fractions on demand.
+    cheap; `coords` builds them as Fractions on each call.
     """
 
-    __slots__ = ("_num", "_den", "_hash", "_coords")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coords):
         cs = tuple(Fraction(c) for c in coords)
@@ -53,7 +50,6 @@ class RootVec:
         object.__setattr__(self, "_num", tuple(int(c * den) for c in cs))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", hash((self._num, den)))
-        object.__setattr__(self, "_coords", cs)
 
     @classmethod
     def _raw(cls, num: tuple[int, ...], den: int) -> "RootVec":
@@ -70,12 +66,8 @@ class RootVec:
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        if self._coords is None:
-            den = self._den
-            object.__setattr__(
-                self, "_coords", tuple(Fraction(x, den) for x in self._num)
-            )
-        return self._coords
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     @property
     def dim(self) -> int:
@@ -142,7 +134,6 @@ class RootVec:
 _set_num = RootVec._num.__set__
 _set_den = RootVec._den.__set__
 _set_hash = RootVec._hash.__set__
-_set_coords = RootVec._coords.__set__
 
 
 def _reduced(num: tuple[int, ...], den: int) -> RootVec:
@@ -151,7 +142,6 @@ def _reduced(num: tuple[int, ...], den: int) -> RootVec:
     _set_num(obj, num)
     _set_den(obj, den)
     _set_hash(obj, hash((num, den)))
-    _set_coords(obj, None)
     return obj
 
 
@@ -399,11 +389,26 @@ class RootSystem:
         if self._gram_inv is None:
             e = lcm(*(s._den for s in self.simple_roots))
             rows = [tuple(x * (e // s._den) for x in s._num) for s in self.simple_roots]
-            inv = linalg.invert(
-                [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
-            )
-            d = lcm(*(c.denominator for row in inv for c in row))
-            m = [[int(c * d) for c in row] for row in inv]
+            # Fraction-free Gauss-Jordan (Bareiss) on [G | I]: G is positive
+            # definite, so each pivot is a positive leading principal minor
+            # and each division by the previous pivot is exact.  It ends at
+            # [d I | m] with d = det G, so m / d is the inverse of G.
+            n = len(rows)
+            a = [
+                [sum(map(operator.mul, r, s)) for s in rows]
+                + [int(i == j) for j in range(n)]
+                for i, r in enumerate(rows)
+            ]
+            d = 1
+            for k in range(n):
+                top, p = a[k], a[k][k]
+                a = [
+                    row if row is top
+                    else [(p * x - row[k] * y) // d for x, y in zip(row, top)]
+                    for row in a
+                ]
+                d = p
+            m = [row[n:] for row in a]
             object.__setattr__(self, "_gram_inv", (rows, e, m, d))
         return self._gram_inv
 
@@ -547,73 +552,46 @@ def _build_bc(p: int):
 
 
 def _build_g2(_rank: int):
-    simple = [rootvec(1, -1, 0), rootvec(-2, 1, 1)]
-    a1, a2 = simple
-    positive = [a1, a2, a1 + a2, 2 * a1 + a2, 3 * a1 + a2, 3 * a1 + 2 * a2]
-    return simple, positive, 3 * a1 + 2 * a2, (2, 0, 1)
+    # alpha_1, alpha_2, a1 + a2, 2a1 + a2, 3a1 + a2 and 3a1 + 2a2.
+    positive = [_reduced(num, 1) for num in (
+        (1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2),
+    )]
+    return positive[:2], positive, positive[-1], (2, 0, 1)
 
 
 def _build_f4(_rank: int):
-    simple = [
-        rootvec(0, 1, -1, 0),
-        rootvec(0, 0, 1, -1),
-        rootvec(0, 0, 0, 1),
-        rootvec(HALF, -HALF, -HALF, -HALF),
-    ]
+    simple = _classical_simple(4)[1:] + [_vec(4, (3, 1)), _reduced((1, -1, -1, -1), 2)]
     positive = [_vec(4, (i, 1)) for i in range(4)] + _pair_roots(4)
-    for signs in itertools.product((1, -1), repeat=3):
-        positive.append(RootVec((HALF,) + tuple(HALF * s for s in signs)))
-    return simple, positive, rootvec(1, 1, 0, 0), (0, 1, 2, 3)
+    positive += [
+        _reduced((1,) + signs, 2) for signs in itertools.product((1, -1), repeat=3)
+    ]
+    return simple, positive, _vec(4, (0, 1), (1, 1)), (0, 1, 2, 3)
 
 
-def _e_series_simple() -> list[RootVec]:
-    a1 = RootVec((HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF))
-    out = [a1, _vec(8, (0, 1), (1, 1))]
-    out += [_vec(8, (i + 1, 1), (i, -1)) for i in range(7)]
-    return out  # alpha_1, alpha_2, alpha_3..alpha_9 pattern; callers slice
-
-
-def _build_e8(_rank: int):
-    simple = _e_series_simple()[:8]
-    positive = []
-    for j in range(8):
-        for i in range(j):
-            positive += [_vec(8, (j, 1), (i, 1)), _vec(8, (j, 1), (i, -1))]
-    for signs in itertools.product((1, -1), repeat=7):
-        if signs.count(-1) % 2 == 0:
-            positive.append(RootVec(tuple(HALF * s for s in signs) + (HALF,)))
-    highest = _vec(8, (6, 1), (7, 1))
-    return simple, positive, highest, tuple(reversed(range(8)))
-
-
-def _build_e7(_rank: int):
-    simple = _e_series_simple()[:7]
-    positive = []
-    for j in range(6):
-        for i in range(j):
-            positive += [_vec(8, (j, 1), (i, 1)), _vec(8, (j, 1), (i, -1))]
-    positive.append(_vec(8, (7, 1), (6, -1)))
-    for signs in itertools.product((1, -1), repeat=6):
-        if signs.count(-1) % 2 == 1:
-            positive.append(
-                RootVec(tuple(HALF * s for s in signs) + (-HALF, HALF))
-            )
-    highest = _vec(8, (7, 1), (6, -1))
-    return simple, positive, highest, tuple(reversed(range(8)))
-
-
-def _build_e6(_rank: int):
-    simple = _e_series_simple()[:6]
-    positive = []
-    for j in range(5):
-        for i in range(j):
-            positive += [_vec(8, (j, 1), (i, 1)), _vec(8, (j, 1), (i, -1))]
-    for signs in itertools.product((1, -1), repeat=5):
-        if signs.count(-1) % 2 == 0:
-            positive.append(
-                RootVec(tuple(HALF * s for s in signs) + (-HALF, -HALF, HALF))
-            )
-    highest = RootVec((HALF, HALF, HALF, HALF, HALF, -HALF, -HALF, HALF))
+def _build_e(rank: int):
+    # The E8 positive roots e_j +- e_i (i < j) and (sum_i s_i e_i + e_8) / 2
+    # with an even number of signs s_i = -1, e_1..e_8 being coordinates
+    # 0..7.  E7 is the part orthogonal to e_7 + e_8, and E6 the part of that
+    # also orthogonal to e_6 - e_7.
+    positive = [
+        _vec(8, (j, 1), (i, s)) for j in range(8) for i in range(j) for s in (1, -1)
+    ]
+    positive += [
+        _reduced(signs + (1,), 2)
+        for signs in itertools.product((1, -1), repeat=7)
+        if signs.count(-1) % 2 == 0
+    ]
+    if rank < 8:
+        positive = [v for v in positive if v._num[6] + v._num[7] == 0]
+    if rank < 7:
+        positive = [v for v in positive if v._num[5] == v._num[6]]
+    simple = [_reduced((1, -1, -1, -1, -1, -1, -1, 1), 2), _vec(8, (0, 1), (1, 1))]
+    simple += [_vec(8, (i + 1, 1), (i, -1)) for i in range(rank - 2)]
+    highest = {
+        6: _reduced((1, 1, 1, 1, 1, -1, -1, 1), 2),
+        7: _vec(8, (7, 1), (6, -1)),
+        8: _vec(8, (6, 1), (7, 1)),
+    }[rank]
     return simple, positive, highest, tuple(reversed(range(8)))
 
 
@@ -623,9 +601,9 @@ _CONSTRUCTORS = {
     "C": _build_c,
     "D": _build_d,
     "BC": _build_bc,
-    "E6": _build_e6,
-    "E7": _build_e7,
-    "E8": _build_e8,
+    "E6": _build_e,
+    "E7": _build_e,
+    "E8": _build_e,
     "F4": _build_f4,
     "G2": _build_g2,
 }
@@ -649,15 +627,16 @@ def reflect(v: RootVec, alpha: RootVec) -> RootVec:
     )
 
 
-def reflection_closure(simple_roots) -> set[RootVec]:
+def reflection_closure(simple_roots, limit: int) -> set[RootVec]:
     """All vectors reachable from the simple roots by simple reflections.
 
     For a reduced system this is the full root set; used as the
-    independent cross-check against the explicit Bourbaki lists.
+    independent cross-check against the explicit Bourbaki lists.  The
+    search stops once it holds more than `limit` vectors.
     """
     roots = set(simple_roots)
     frontier = set(simple_roots)
-    while frontier:
+    while frontier and len(roots) <= limit:
         new = set()
         for v in frontier:
             for alpha in simple_roots:
@@ -696,15 +675,17 @@ def _check_build(system: RootSystem) -> None:
     if rank > 8:
         return
     # Independent reconstruction: reflection closure of the simple roots,
-    # doubling the short roots in the non-reduced case.
-    closure = reflection_closure(system.simple_roots)
+    # doubling the short roots in the non-reduced case.  The closure of a
+    # root system holds at most 2|R+| vectors (BC's is B's, which is fewer).
+    limit = 2 * len(system.positive_roots)
+    closure = reflection_closure(system.simple_roots, limit)
     key = system.sort_key
     zero_key = (0,) * system.ambient_dim
     pos = {v for v in closure if key(v) > zero_key}
     if family == "BC":
         shortest = min(norm_sq(v) for v in pos)
         pos |= {2 * v for v in pos if norm_sq(v) == shortest}
-    if pos != system._pos_set:
+    if len(closure) > limit or pos != system._pos_set:
         raise InvariantViolation(
             f"{system.rstype.label()}: reflection closure disagrees with the "
             f"explicit root list"
@@ -761,13 +742,3 @@ def delta_string_depth(system: RootSystem, lam: RootVec) -> int:
         v = v - system.highest_root
     return depth
 
-
-def lowest_root(roots, sort_key) -> RootVec:
-    """Minimum of a nonempty collection under the given lexicographic key."""
-    roots = list(roots)
-    if not roots:
-        raise ValueError("lowest_root of an empty collection")
-    dims = {v.dim for v in roots}
-    if len(dims) != 1:
-        raise ValueError("mixed ambient dimensions")
-    return min(roots, key=sort_key)

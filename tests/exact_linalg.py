@@ -1,4 +1,8 @@
-"""Small dense exact-rational linear algebra (dimensions stay below ten)."""
+"""Small dense exact-rational linear algebra for the tests.
+
+The `Fraction` reference for the package's integer Gram inverse, and the
+kernels that tests compute from rational matrices (dimensions stay small).
+"""
 
 from __future__ import annotations
 
@@ -7,13 +11,9 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def _as_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = _as_matrix(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return m, []
     nrows, ncols = len(m), len(m[0])
@@ -35,19 +35,6 @@ def rref(rows) -> tuple[Matrix, list[int]]:
         if r == nrows:
             break
     return m, pivots
-
-
-def invert(a) -> Matrix:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = len(a)
-    rows = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    m, pivots = rref(rows)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
 
 
 def nullspace(a) -> list[list[Fraction]]:

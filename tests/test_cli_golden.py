@@ -32,6 +32,12 @@ CASES = {
     "ferus_57.json": ("--format", "json", "ferus", "--l", "57"),
     "appendix_g2.md": ("appendix", "--algebra", "g2"),
     "appendix_g2.json": ("--format", "json", "appendix", "--algebra", "g2"),
+    "appendix_f4.md": ("appendix", "--algebra", "f4"),
+    "appendix_f4.json": ("--format", "json", "appendix", "--algebra", "f4"),
+    "appendix_e6.md": ("appendix", "--algebra", "e6"),
+    "appendix_e6.json": ("--format", "json", "appendix", "--algebra", "e6"),
+    "appendix_e7.md": ("appendix", "--algebra", "e7"),
+    "appendix_e7.json": ("--format", "json", "appendix", "--algebra", "e7"),
     "appendix_e8.md": ("appendix", "--algebra", "e8"),
     "appendix_e8.json": ("--format", "json", "appendix", "--algebra", "e8"),
     "table1.md": ("table1",),

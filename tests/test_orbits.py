@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gaussorbits import ferus, linalg, orbits, pairdb, report, rootsys
+from exact_linalg import nullspace
+from gaussorbits import ferus, orbits, pairdb, report, rootsys
 from gaussorbits.orbits import (
     RULE_G2_SHORT_ROOT,
     RULE_LONG_ROOT,
@@ -412,7 +413,7 @@ class TestPrincipalCurvatures:
                 pairing = [[rootsys.inner(a, H) for a in system.simple_roots]]
                 basis = [
                     system.simple_combination(c)
-                    for c in linalg.nullspace(pairing)
+                    for c in nullspace(pairing)
                 ]
                 assert len(basis) == system.rank - 1
                 tangent = [

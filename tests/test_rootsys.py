@@ -1,6 +1,9 @@
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
+from exact_linalg import rref
 from hypothesis import given, strategies as st
 
 from gaussorbits import rootsys as rs
@@ -249,23 +252,9 @@ class TestWolf:
 
 
 class TestOrderAndClasses:
-    def test_lowest_root_two_elements(self):
-        b2 = rs.build("B", 2)
-        picked = rs.lowest_root([rootvec(1, 0), rootvec(0, 1)], b2.sort_key)
-        assert picked == rootvec(0, 1)
-
     def test_lowest_root_a2_is_simple(self):
         a2 = rs.build("A", 2)
-        lowest = rs.lowest_root(a2.positive_roots, a2.sort_key)
-        assert lowest in a2.simple_roots
-
-    def test_lowest_root_empty(self):
-        with pytest.raises(ValueError):
-            rs.lowest_root([], rs.build("A", 2).sort_key)
-
-    def test_lowest_root_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            rs.lowest_root([rootvec(1, 0), rootvec(1, 0, 0)], lambda v: v.coords)
+        assert a2.positive_roots[0] in a2.simple_roots
 
     def test_long_short_partitions(self):
         def partition(system):
@@ -424,6 +413,34 @@ class TestNegation:
             assert system.class_index(neg) == system.class_index(v)
 
 
+GRAM_TYPES = (
+    [(f, p) for f in ("A", "B", "C", "BC") for p in range(1, 11)]
+    + [("D", p) for p in range(2, 11)]
+    + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
+)
+
+
+class TestGramInverse:
+    """The integer Gram inverse m / d against a `Fraction` row reduction."""
+
+    @pytest.mark.parametrize("family,rank", GRAM_TYPES)
+    def test_matches_fraction_inverse(self, family, rank):
+        system = rs.build(family, rank)
+        rows, e, m, d = system._gram_inverse()
+        assert rows == [
+            tuple(x * (e // s._den) for x in s._num) for s in system.simple_roots
+        ]
+        n = len(rows)
+        gram = [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
+        reduced, pivots = rref(
+            [row + [int(i == j) for j in range(n)] for i, row in enumerate(gram)]
+        )
+        assert pivots == list(range(n))
+        assert [[Fraction(x, d) for x in row] for row in m] == [
+            row[n:] for row in reduced
+        ]
+
+
 # These two classes clear the build cache in their tests, so they come
 # last: any test after them would build its systems again.
 class TestIntegerOrder:
@@ -465,6 +482,17 @@ class TestIntegerOrder:
             for i, h in enumerate(system.fundamental_coweights()):
                 for j, alpha in enumerate(system.simple_roots):
                     assert rs.inner(h, alpha) == int(i == j)
+        finally:
+            rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("family", ["A", "C", "BC"])
+    def test_coweights_at_the_rank_cap(self, family):
+        try:
+            system = rs.build(family, rs.MAX_RANK)
+            for i, h in enumerate(system.fundamental_coweights()):
+                assert [rs.inner(h, alpha) for alpha in system.simple_roots] == [
+                    int(i == j) for j in range(system.rank)
+                ]
         finally:
             rs._build_cached.cache_clear()
 
@@ -539,3 +567,24 @@ class TestCheckBuild:
 
         with pytest.raises(rs.InvariantViolation, match="reflection closure disagrees"):
             self._build_with(monkeypatch, family, rank, edit)
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 4), ("E8", 8)])
+    def test_reflection_closure_that_does_not_close(self, monkeypatch, family, rank):
+        # A "reflection" that subtracts the multiple of alpha with its
+        # coordinates reversed is no isometry, so the closure never closes.
+        # The closure must stop by itself; the call budget only keeps a
+        # failing run of this test bounded.
+        budget = itertools.count(10_000, -1)
+
+        def reversed_alpha(v, alpha):
+            assert next(budget) > 0, "reflection closure did not stop"
+            flipped = RootVec(alpha.coords[::-1])
+            return v - (2 * rs.inner(v, alpha) / rs.norm_sq(alpha)) * flipped
+
+        monkeypatch.setattr(rs, "reflect", reversed_alpha)
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(rs.InvariantViolation, match="reflection closure disagrees"):
+                rs.build(family, rank)
+        finally:
+            rs._build_cached.cache_clear()
