@@ -141,11 +141,14 @@ def _plain(value) -> str:
 @click.option("--scan", is_flag=True, help="equality scan over the database")
 @click.option("--verify-identities", is_flag=True,
               help="run the monotonicity/power/range identity suites")
-@click.option("--qmax", type=int, default=9, show_default=True)
+@click.option("--qmax", type=int, default=9, show_default=True,
+              help=f"largest q of the power and range identities "
+                   f"(1 to {ferus.MAX_QMAX})")
 @click.option("--p-range", default=None, help="scan grid for p (lo:hi)")
 @click.option("--n-range", default=None, help="scan grid for n (lo:hi)")
 @click.option("--lmax", type=int, default=512, show_default=True,
-              help="monotonicity range for --verify-identities")
+              help=f"monotonicity range for --verify-identities "
+                   f"(1 to {ferus.MAX_LMAX})")
 @click.pass_context
 def ferus_cmd(ctx, l_value, scan, verify_identities, qmax, p_range, n_range, lmax):
     """Ferus-number certificates, identity suites and the equality scan."""
@@ -162,6 +165,10 @@ def ferus_cmd(ctx, l_value, scan, verify_identities, qmax, p_range, n_range, lma
             click.echo(report.render_table(["field", "value"], rows, fmt), nl=False)
         return
     if verify_identities:
+        for flag, value, cap in (("--qmax", qmax, ferus.MAX_QMAX),
+                                 ("--lmax", lmax, ferus.MAX_LMAX)):
+            if not 1 <= value <= cap:
+                raise ValueError(f"{flag} {value} is outside 1 to {cap}")
         failures = []
         fs = [ferus.ferus(l).F for l in range(1, lmax + 2)]
         if any(a > b for a, b in zip(fs, fs[1:])):

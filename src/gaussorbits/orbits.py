@@ -83,16 +83,27 @@ def _orbit_facts(system: RootSystem, H: RootVec):
     both e_1 and 2e_1 lie on one line; the longer one is kept so the rule
     sees the long root).  Returns (counts, lam, root class of lam, (a)
     and (b) at lam); the last three are None when no root is on the line.
+
+    Each <mu, H> reads only the nonzero coordinates of H, and the walk
+    starts at the top, where a highest-root H meets its lam first; the
+    counts are sums and lam is the longest root on the line of H, so the
+    order does not change the result.
     """
     if H.dim != system.ambient_dim:
         raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
-    dot = rootsys._dot_sign_num
+    support = [(i, x) for i, x in enumerate(H._num) if x]
     counts = [0] * len(rootsys.CLASSES[system.rstype.family])
     lam = lam_norm = None
     for mu, c, norm in zip(
-        system.positive_roots, system.positive_classes, system.positive_norms
+        reversed(system.positive_roots),
+        reversed(system.positive_classes),
+        reversed(system.positive_norms),
     ):
-        if not dot(mu, H):
+        num = mu._num
+        dot = 0
+        for i, x in support:
+            dot += x * num[i]
+        if not dot:
             continue
         counts[c] += 1
         if (lam is None or norm > lam_norm) and rootsys.is_parallel(mu, H):
@@ -172,18 +183,21 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     if H.is_zero():
         raise ValueError("H must be nonzero")
     system = pair.system()
-    folded = rootsys.primitive_ray(weyl_fold(system, H))
     memo = {} if memo is None else memo
-    key = (system, folded)
-    if key not in memo:
-        memo[key] = _orbit_facts(system, folded)
-    counts, lam, root_class, ab = memo[key]
+    # Keys are folded primitive rays, which fold onto themselves.
+    facts = memo.get((system, H))
+    if facts is None:
+        H = rootsys.primitive_ray(weyl_fold(system, H))
+        if (system, H) not in memo:
+            memo[system, H] = _orbit_facts(system, H)
+        facts = memo[system, H]
+    counts, lam, root_class, ab = facts
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
     l = sum(count * m for count, (_, m) in zip(counts, pair.mult_by_class))
     if lam is None:
         return OrbitReport(
             pair=pair.label(),
-            H=folded,
+            H=H,
             degenerate=False,
             l=l,
             r=l,
@@ -204,7 +218,7 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     nullity = pair.multiplicity(lam) if degenerate else 0
     return OrbitReport(
         pair=pair.label(),
-        H=folded,
+        H=H,
         degenerate=degenerate,
         l=l,
         r=l - nullity,

@@ -169,9 +169,9 @@ class Pair:
 
 # Most n values one instantiations() call walks.  n does not enter the
 # rank, so nothing else bounds it.  The wide scan (p 2-30, n 0-30) makes
-# about 11 500 rows a second on a 2-vCPU Xeon VM with Python 3.11, at most
+# about 22 000 rows a second on a 2-vCPU Xeon VM with Python 3.11, at most
 # two rows per (p, n), so at this cap one family's n sweep at one p takes
-# about 0.05 s (0.03-0.06 s measured at p = 30, first sweep of a scan).
+# about 0.03 s (0.02-0.035 s measured at p = 30, first sweep of a scan).
 MAX_N_SPAN = 300
 
 

@@ -125,6 +125,9 @@ class RootVec:
     def parse(cls, text: str) -> "RootVec":
         """Parse a comma-separated list of rationals, e.g. ``1,-1/2,0``."""
         try:
+            # Fraction("1e999999999") would build a billion-digit integer.
+            if "e" in text.lower():
+                raise ValueError("exponent notation is not accepted")
             return cls(Fraction(part.strip()) for part in text.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse vector {text!r}: {exc}") from None

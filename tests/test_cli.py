@@ -1,13 +1,39 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from gaussorbits import pairdb, rootsys
+import gaussorbits
+from gaussorbits import ferus, pairdb, rootsys
 from gaussorbits.cli import main
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
+
+
+def refused_in_a_child(*argv, seconds=5.0):
+    """Run ``python -m gaussorbits.cli *argv`` in a child killed after `seconds`.
+
+    Asserts exit code 1, no output and exactly one stderr line, and returns
+    that line; a command that runs without bound fails here instead of
+    stalling the suite.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussorbits.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussorbits.cli", *argv],
+            capture_output=True, text=True, timeout=seconds, env=env,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{' '.join(argv)} still ran after {seconds} s")
+    assert (proc.returncode, proc.stdout) == (1, ""), proc
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and proc.stderr == lines[0] + "\n", proc.stderr
+    return lines[0]
 
 
 @pytest.fixture()
@@ -177,6 +203,31 @@ class TestFerusCommand:
         assert time.perf_counter() - start < 2
         assert code == 1 and out == ""
         assert err == f"error: rank 3000 of A is above the largest rank {rootsys.MAX_RANK}\n"
+
+    # Literal values, so that a build without the caps runs them in the child.
+    @pytest.mark.parametrize(
+        "flag,value", [("--qmax", 0), ("--qmax", 100_000), ("--lmax", -3), ("--lmax", 10**9)]
+    )
+    def test_identity_bounds_out_of_range(self, flag, value):
+        line = refused_in_a_child("ferus", "--verify-identities", flag, str(value))
+        cap = ferus.MAX_QMAX if flag == "--qmax" else ferus.MAX_LMAX
+        assert line == f"error: {flag} {value} is outside 1 to {cap}"
+
+    def test_identity_bounds_one_past_the_cap(self):
+        for flag, cap in (("--qmax", ferus.MAX_QMAX), ("--lmax", ferus.MAX_LMAX)):
+            line = refused_in_a_child("ferus", "--verify-identities", flag, str(cap + 1))
+            assert line == f"error: {flag} {cap + 1} is outside 1 to {cap}"
+
+    def test_identity_bounds_of_one_are_accepted(self, run):
+        code, out, _ = run("ferus", "--verify-identities", "--qmax", "1", "--lmax", "1")
+        assert code == 0
+        assert out == "ferus identities: monotone on [1, 1], powers and ranges verified for q <= 1\n"
+
+    def test_help_states_the_caps(self, run):
+        code, out, _ = run("ferus", "--help")
+        assert code == 0
+        flat = " ".join(out.split())
+        assert f"(1 to {ferus.MAX_QMAX})" in flat and f"(1 to {ferus.MAX_LMAX})" in flat
 
     def test_flag_exclusivity(self, run):
         code, _, err = run("ferus", "--l", "5", "--scan")

@@ -192,6 +192,13 @@ class TestEqualityScan:
         assert {r.n for r in rows if r.pair == "so(2p+n)|so(p)+so(p+n)"} == {1, 2}
 
 
+def test_scan_rows_carry_the_ferus_number_of_their_l(db):
+    rows = ferus.equality_scan(db)
+    assert len({row.l for row in rows}) < len(rows)  # some l repeats
+    for row in rows:
+        assert row.ferus_l == ferus.ferus(row.l).F, row
+
+
 def test_wide_scan_csv_is_unchanged(db):
     # Digest of the 5794-row wide-grid scan as CSV, recorded before the
     # per-row and per-orbit fast paths of the scan.

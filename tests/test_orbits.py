@@ -119,6 +119,60 @@ class TestFoldReference:
                         system, v)
 
 
+def _dense_orbit_facts(system, H):
+    # Reference: a full-coordinate Fraction dot, an ascending walk, and
+    # is_parallel on every positive root not orthogonal to H.
+    counts = [0] * len(rootsys.CLASSES[system.rstype.family])
+    on_line = []
+    for mu in system.positive_roots:
+        if rootsys.inner(mu, H) != 0:
+            counts[system.class_index(mu)] += 1
+            if rootsys.is_parallel(mu, H):
+                on_line.append(mu)
+    if not on_line:
+        return tuple(counts), None, None, None
+    lam = max(on_line, key=rootsys.norm_sq)
+    ab = orbits.cond_a(system, lam) and orbits.cond_b(system, lam)
+    return tuple(counts), lam, system.root_class(lam), ab
+
+
+class TestOrbitFactsReference:
+    def test_matches_dense_pass_at_rank_8(self):
+        rng = random.Random(17)
+        for system in _systems(8):
+            coweights = system.fundamental_coweights()
+            points = list(system.positive_roots)
+            for _ in range(4):
+                coeffs = [rng.randint(1, 3) for _ in coweights]
+                regular = sum((c * w for c, w in zip(coeffs, coweights)),
+                              RootVec([0] * system.ambient_dim))
+                coeffs[rng.randrange(len(coeffs))] = 0
+                wall = sum((c * w for c, w in zip(coeffs, coweights)),
+                           RootVec([0] * system.ambient_dim))
+                points += [regular] + ([wall] if not wall.is_zero() else [])
+            for H in points:
+                for _ in range(rng.randint(0, 3 * system.rank)):
+                    H = rootsys.reflect(H, rng.choice(system.simple_roots))
+                H = rootsys.primitive_ray(orbits.weyl_fold(system, H))
+                assert orbits._orbit_facts(system, H) == _dense_orbit_facts(system, H), (
+                    system, H)
+
+    @pytest.mark.parametrize("rank", [30, 70])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
+    def test_matches_dense_pass_at_high_rank(self, family, rank):
+        system = rootsys.build(family, rank)
+        points = [system.highest_root]
+        for spec in ("short", "middle"):
+            try:
+                points.append(orbits._canonical_class_rep(system, spec))
+            except ValueError:
+                pass
+        for H in points:
+            H = rootsys.primitive_ray(H)
+            assert orbits._orbit_facts(system, H) == _dense_orbit_facts(system, H), (
+                system, H)
+
+
 class TestCanonicalClassRep:
     def test_is_the_sort_key_maximum_of_its_class(self):
         systems = list(_systems(8)) + [
@@ -488,6 +542,32 @@ class TestMemo:
                     for H in points:
                         assert orbits.classify(pair, H, memo) == orbits.classify(pair, H)
         assert len(memo) == 3 * 4  # one key per (system, folded ray)
+
+    def test_seeded_memo_serves_points_on_the_same_orbit(self, db):
+        # A memo seeded with H0 answers a Weyl-moved H0, 2*H0 and -H0 as a
+        # memo-free call does, without a new key: each folds onto H0's ray.
+        # Every H0 here is fixed by -w0, so -H0 lies on its orbit too.
+        rng = random.Random(23)
+        for fam in db:
+            for p in (fam.p_min, fam.p_min + 2) if fam.uses_p else (None,):
+                pair = fam.instantiate(p=p, n=fam.n_min if fam.uses_n else None)
+                system = pair.system()
+                seeds = [system.highest_root, sum(system.fundamental_coweights(),
+                                                  RootVec([0] * system.ambient_dim))]
+                for spec in ("short", "middle"):
+                    try:
+                        seeds.append(orbits.resolve_orbit(pair, spec))
+                    except ValueError:
+                        pass
+                for H0 in seeds:
+                    memo = {}
+                    orbits.classify(pair, H0, memo)
+                    moved = H0
+                    for _ in range(rng.randint(1, 3 * system.rank)):
+                        moved = rootsys.reflect(moved, rng.choice(system.simple_roots))
+                    for H in (H0, moved, 2 * H0, -H0):
+                        assert orbits.classify(pair, H, memo) == orbits.classify(pair, H)
+                        assert len(memo) == 1, (pair.key, H0, H)
 
     def test_equality_scan_matches_memo_free_classify(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 4), n_range=(0, 3))

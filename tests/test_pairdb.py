@@ -1,6 +1,7 @@
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussorbits import orbits, pairdb, rootsys
 from gaussorbits.pairdb import PairsFormatError
@@ -232,6 +233,44 @@ class TestFileFormat:
         bad = self.RECORD.replace("  dim_m", "  flags shiny\n  dim_m")
         with pytest.raises(PairsFormatError, match="unknown flags"):
             pairdb.parse_database(bad)
+
+
+PAIRS_LINES = PAIRS_DAT.splitlines(keepends=True)
+
+
+@st.composite
+def one_line_mutation(draw):
+    """pairs.dat with one line replaced, cut, doubled or one token swapped."""
+    i = draw(st.integers(0, len(PAIRS_LINES) - 1))
+    line = PAIRS_LINES[i]
+    tokens = line.split()
+    kind = draw(st.sampled_from(["replace", "delete", "double", "token"]))
+    if kind == "replace":
+        new = [draw(st.text(max_size=40)) + "\n"]
+    elif kind == "delete":
+        new = []
+    elif kind == "double":
+        new = [line, line]
+    else:
+        if tokens:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.one_of(
+                st.text(min_size=1, max_size=12),
+                st.from_regex(r"-?[0-9pn()+*/-]{1,12}", fullmatch=True),
+                st.sampled_from(["*", "p", "n", "0", "-1", "71", "A", "G2", "end", "pair"]),
+            ))
+        new = ["  " + " ".join(tokens) + "\n"]
+    return "".join(PAIRS_LINES[:i] + new + PAIRS_LINES[i + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_line_mutation())
+def test_one_line_mutations_load_or_raise_pairs_format_error(text):
+    try:
+        parsed = pairdb.parse_database(text)
+    except PairsFormatError:
+        return
+    assert isinstance(parsed, pairdb.PairDatabase)
 
 
 class TestExpressions:

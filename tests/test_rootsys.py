@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from exact_linalg import rref
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussorbits import rootsys as rs
 from gaussorbits.rootsys import RootVec, rootvec
@@ -67,6 +67,25 @@ class TestRootVec:
         assert RootVec.parse("1,-1/2,0") == rootvec(1, Fraction(-1, 2), 0)
         with pytest.raises(ValueError):
             RootVec.parse("1,oops")
+
+    @pytest.mark.parametrize("text", ["1e999999999,0", "0,-1E-999999999", "2.5e1"])
+    def test_parse_refuses_exponents(self, text):
+        # Fraction alone would build a billion-digit integer for the first two.
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            RootVec.parse(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789/-+., _eE\n\t", max_size=30)))
+    @example("")
+    @example("1/0")
+    @example("9" * 5000)
+    def test_parse_fuzz(self, text):
+        # Arbitrary text gives a vector or a ValueError, and nothing else.
+        try:
+            v = RootVec.parse(text)
+        except ValueError:
+            return
+        assert RootVec.parse(",".join(map(str, v.coords))) == v
 
     def test_immutable(self):
         v = rootvec(1, 2)
