@@ -30,7 +30,6 @@ from math import lcm
 
 from . import rootsys
 from .rootsys import (
-    HALF,
     InvariantViolation,
     RootSystem,
     RootSystemType,
@@ -44,9 +43,9 @@ Projected = tuple[Fraction, ...]
 
 def m_roots(system: RootSystem) -> tuple[RootVec, ...]:
     """Positive roots with ratio 1/2 against the highest root, in lex order."""
-    return tuple(
-        v for v in system.positive_roots if rootsys.wolf_ratio(system, v) == HALF
-    )
+    delta = system.highest_root
+    top = norm_sq(delta)
+    return tuple(v for v in system.positive_roots if 2 * inner(v, delta) == top)
 
 
 def strongly_orthogonal(Q, system: RootSystem) -> tuple[RootVec, ...]:
@@ -66,7 +65,7 @@ def strongly_orthogonal(Q, system: RootSystem) -> tuple[RootVec, ...]:
             b
             for b in remaining
             if b != gamma
-            and not system.contains(b + gamma)
+            and not system.contains_positive(b + gamma)
             and not system.contains(b - gamma)
         ]
     return tuple(gammas)
@@ -210,7 +209,7 @@ def sum_lands_on_delta(system: RootSystem) -> bool:
     for i, a in enumerate(mp):
         for b in mp[i:]:
             s = a + b
-            if system.contains(s) and s != delta:
+            if system.contains_positive(s) and s != delta:
                 return False
     return True
 
@@ -223,7 +222,7 @@ def maximal_abelian_ok(datum: ProjectionDatum) -> bool:
         if beta in chosen:
             continue
         if all(
-            not system.contains(beta + g) and not system.contains(beta - g)
+            not system.contains_positive(beta + g) and not system.contains(beta - g)
             for g in datum.gammas
         ):
             return False

@@ -103,7 +103,7 @@ def classify_cmd(ctx, pair_key, root_spec, p, n, xi):
     try:
         family = db.get(pair_key)
     except KeyError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise click.UsageError(exc.args[0]) from None
     if family.uses_p and p is None:
         p = family.p_min
     if family.uses_n and n is None:
@@ -248,6 +248,11 @@ def pairs_list_cmd(ctx):
     click.echo(report.render_table(headers, cells, ctx.obj["fmt"]), nl=False)
 
 
+# A group called without a subcommand prints its help (click 8.2 and
+# later raise this; earlier click exits 0 after the help).
+_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
@@ -257,14 +262,20 @@ def main(argv=None) -> int:
         return 2
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.ClickException as exc:
+    except _NO_ARGS_IS_HELP as exc:
         exc.show()
         return 1
     except click.Abort:
         return 1
-    except (ValueError, KeyError, pairdb.PairsFormatError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    except click.ClickException as exc:
+        message = exc.format_message()
+    except KeyError as exc:
+        message = exc.args[0]  # str() would quote it
+    except (ValueError, pairdb.PairsFormatError) as exc:
+        message = str(exc)
+    # One line, though some click messages, such as a choice list, span lines.
+    click.echo("error: " + " ".join(line.strip() for line in message.splitlines()), err=True)
+    return 1
 
 
 def entrypoint() -> None:

@@ -250,19 +250,3 @@ def principal_curvatures(pair: pairdb.Pair, H: RootVec, xi: RootVec) -> Curvatur
         spectrum[value] = spectrum.get(value, 0) + pair.multiplicity(lam)
     entries = tuple(sorted(spectrum.items()))
     return CurvatureSpectrum(entries=entries)
-
-
-def nullity_upper_bound(pair: pairdb.Pair, H: RootVec) -> int:
-    """Sum of m(mu) over positive roots mu on the line of H.
-
-    This is the a-priori bound on the relative nullity; for BC pairs at
-    the long-root orbit it strictly exceeds the actual nullity because
-    both e_1 and 2e_1 contribute.
-    """
-    if H.is_zero():
-        raise ValueError("H must be nonzero")
-    return sum(
-        pair.multiplicity(mu)
-        for mu in pair.system().positive_roots
-        if rootsys.is_parallel(mu, H)
-    )

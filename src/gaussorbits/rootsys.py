@@ -7,9 +7,9 @@ construction of the roots, arithmetic, hashing, reflection, the sort of
 the roots, their squared lengths and classes, and the simple-root
 coefficients run on those integers.  `fractions.Fraction` appears at the
 API edge (the `RootVec` constructor and `coords`, the scalar of `*`,
-`inner` and `norm_sq`, the values `simple_coefficients` returns,
-`sort_key` of a non-integral vector).  So every membership, orthogonality
-and proportionality test in this package is decided exactly.
+`inner` and `norm_sq`, `sort_key` of a non-integral vector).  So every
+membership, orthogonality and proportionality test in this package is
+decided exactly.
 
 Each family carries a fixed coordinate-significance order that defines
 the lexicographic order used throughout (``RootSystem.sort_key``).  The
@@ -26,9 +26,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-HALF = Fraction(1, 2)
-
 
 class InvariantViolation(RuntimeError):
     """A structural fact the library relies on failed to hold."""
@@ -146,10 +143,6 @@ def _reduced(num: tuple[int, ...], den: int) -> RootVec:
     _set_den(obj, den)
     _set_hash(obj, hash((num, den)))
     return obj
-
-
-def rootvec(*coords) -> RootVec:
-    return RootVec(coords)
 
 
 def inner(a: RootVec, b: RootVec) -> Fraction:
@@ -305,9 +298,7 @@ class RootSystem:
         "highest_root",
         "significance",
         "_class_of",
-        "_pos_set",
         "_class_labels",
-        "_gram_inv",
     )
 
     def __init__(self, rstype, ambient_dim, simple_roots, positive_roots,
@@ -351,17 +342,15 @@ class RootSystem:
         object.__setattr__(self, "positive_classes", classes)
         object.__setattr__(self, "highest_root", highest_root)
         object.__setattr__(self, "significance", tuple(significance))
-        object.__setattr__(self, "_pos_set", frozenset(positive))
-        class_of = dict(zip(positive, classes))
-        class_of.update(zip(map(operator.neg, positive), classes))
-        object.__setattr__(self, "_class_of", class_of)
+        # The one index of the positive roots; a negative root is looked up
+        # through its negation.
+        object.__setattr__(self, "_class_of", dict(zip(positive, classes)))
         # Length label of each class index, so root_class needs no norm.
         object.__setattr__(
             self,
             "_class_labels",
             {index.get(n): label for n, label in length_labels(norms).items()},
         )
-        object.__setattr__(self, "_gram_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
@@ -384,42 +373,11 @@ class RootSystem:
             return tuple(map(num.__getitem__, self.significance))
         return tuple(Fraction(num[i], den) for i in self.significance)
 
-    def _gram_inverse(self):
-        # Made on first use: the simple roots as integer rows over one
-        # denominator e, and the inverse of the integer Gram matrix of those
-        # rows as m / d with m integral.  The Gram matrix of the simple
-        # roots themselves is that one over e^2, so its inverse is e^2 m / d.
-        if self._gram_inv is None:
-            e = lcm(*(s._den for s in self.simple_roots))
-            rows = [tuple(x * (e // s._den) for x in s._num) for s in self.simple_roots]
-            # Fraction-free Gauss-Jordan (Bareiss) on [G | I]: G is positive
-            # definite, so each pivot is a positive leading principal minor
-            # and each division by the previous pivot is exact.  It ends at
-            # [d I | m] with d = det G, so m / d is the inverse of G.
-            n = len(rows)
-            a = [
-                [sum(map(operator.mul, r, s)) for s in rows]
-                + [int(i == j) for j in range(n)]
-                for i, r in enumerate(rows)
-            ]
-            d = 1
-            for k in range(n):
-                top, p = a[k], a[k][k]
-                a = [
-                    row if row is top
-                    else [(p * x - row[k] * y) // d for x, y in zip(row, top)]
-                    for row in a
-                ]
-                d = p
-            m = [row[n:] for row in a]
-            object.__setattr__(self, "_gram_inv", (rows, e, m, d))
-        return self._gram_inv
-
     def contains(self, v: RootVec) -> bool:
-        return v in self._class_of
+        return v in self._class_of or -v in self._class_of
 
     def contains_positive(self, v: RootVec) -> bool:
-        return v in self._pos_set
+        return v in self._class_of
 
     def root_class(self, v: RootVec) -> str:
         """Length label ("long", "middle" or "short") of the root v."""
@@ -427,29 +385,12 @@ class RootSystem:
 
     def class_index(self, v: RootVec) -> int:
         """Index into CLASSES[family] of the Weyl-orbit class of the root v."""
-        if not self.contains(v):
+        c = self._class_of.get(v)
+        if c is None:
+            c = self._class_of.get(-v)
+        if c is None:
             raise ValueError(f"{v!r} is not a root of {self.rstype.label()}")
-        return self._class_of[v]
-
-    def simple_coefficients(self, v: RootVec) -> tuple[Fraction, ...]:
-        """Coefficients of v in the simple-root basis (v must lie in the span)."""
-        w, e, q = self._coefficient_numerators(v)
-        return tuple(Fraction(e * wi, q) for wi in w)
-
-    def _coefficient_numerators(self, v: RootVec):
-        # The coefficients of v in the simple-root basis are e * w_i / q with
-        # e, q > 0, so their signs are those of the integers w_i.
-        if v.dim != self.ambient_dim:
-            raise ValueError(f"dimension mismatch: {self.ambient_dim} vs {v.dim}")
-        rows, e, m, d = self._gram_inverse()
-        # With V = v._num: coefficient i is e * w_i / (d * v._den), where
-        # w = m (rows V); v is in the span exactly when sum_i w_i rows_i = d V.
-        sv = [sum(map(operator.mul, row, v._num)) for row in rows]
-        w = [sum(map(operator.mul, mrow, sv)) for mrow in m]
-        back = [sum(wi * row[k] for wi, row in zip(w, rows)) for k in range(v.dim)]
-        if back != [d * x for x in v._num]:
-            raise ValueError(f"{v!r} is not in the span of the simple roots")
-        return w, e, d * v._den
+        return c
 
     def simple_combination(self, coeffs) -> RootVec:
         """The vector sum(c_i * alpha_i) for Bourbaki-numbered simple roots."""
@@ -460,16 +401,22 @@ class RootSystem:
 
     def fundamental_coweights(self) -> tuple[RootVec, ...]:
         """Dual basis H_i with <H_i, alpha_j> = delta_ij, inside the root span."""
-        # H_j = sum_i (e^2 m_ij / d) (rows_i / e) = (e / d) sum_i m_ij rows_i.
-        rows, e, m, d = self._gram_inverse()
-        return tuple(
-            RootVec._raw(
-                tuple(e * sum(m[i][j] * row[k] for i, row in enumerate(rows))
-                      for k in range(self.ambient_dim)),
-                d,
-            )
-            for j in range(self.rank)
-        )
+        # W acts irreducibly on the root span, so sum_{beta in R} <x, beta> beta
+        # = (2 S / rank) x with S = sum_{beta > 0} |beta|^2; and <H_j, beta> is
+        # c_j(beta).  So H_j = rank sum_{beta > 0} c_j(beta) beta / S, which is
+        # rank e sum c_j(beta) B / sum |B|^2 with each beta = B / e.
+        heights = _heights(self)
+        e = lcm(*(v._den for v in heights))
+        sums = [[0] * self.ambient_dim for _ in range(self.rank)]
+        total = 0
+        for beta, coeffs in heights.items():
+            num = [(k, x * (e // beta._den)) for k, x in enumerate(beta._num) if x]
+            total += sum(x * x for _, x in num)
+            for row, c in zip(sums, coeffs):
+                if c:
+                    for k, x in num:
+                        row[k] += c * x
+        return tuple(RootVec._raw(tuple(self.rank * e * x for x in row), total) for row in sums)
 
 
 def build(family, rank: int | None = None) -> RootSystem:
@@ -651,30 +598,63 @@ def reflection_closure(simple_roots, limit: int) -> set[RootVec]:
     return roots
 
 
+def _heights(system: RootSystem) -> dict[RootVec, tuple[int, ...]]:
+    """The simple-root coefficients of each positive root, by a height walk.
+
+    The positive roots ascend in a lex order in which every simple root is
+    positive, so a positive beta - alpha_i comes first.  A non-simple
+    positive beta is alpha_i plus a positive root for the first i with
+    <beta, alpha_i> > 0 that gives one (Humphreys, Introduction to Lie
+    Algebras, 10.2), and c(beta) = c(beta - alpha_i) + e_i.  If a simple
+    root is not positive or some beta has no such i, the simple roots are
+    no base: InvariantViolation.
+    """
+    label = system.rstype.label()
+    units = {
+        alpha: tuple(int(i == j) for j in range(system.rank))
+        for i, alpha in enumerate(system.simple_roots)
+    }
+    if not all(map(system.contains_positive, units)):
+        raise InvariantViolation(f"{label}: a simple root is not a positive root")
+    steps = tuple(enumerate(zip(system.simple_roots, system.simple_support)))
+    heights = {}
+    for beta in system.positive_roots:
+        coeffs = units.get(beta)
+        if coeffs is None:
+            num = beta._num
+            for i, (alpha, support) in steps:
+                if sum(x * num[k] for k, x in support) > 0:
+                    below = heights.get(beta - alpha)
+                    if below is not None:
+                        coeffs = below[:i] + (below[i] + 1,) + below[i + 1:]
+                        break
+            else:
+                raise InvariantViolation(
+                    f"{label}: positive root {beta!r} is no simple root plus a lower one"
+                )
+        heights[beta] = coeffs
+    return heights
+
+
 def _check_build(system: RootSystem) -> None:
-    family, rank = system.rstype.family, system.rank
+    family, rank, label = system.rstype.family, system.rank, system.rstype.label()
     classes = system.positive_classes
     if None in classes:
         v = system.positive_roots[classes.index(None)]
-        raise InvariantViolation(
-            f"{system.rstype.label()}: positive root {v!r} fits no length class"
-        )
+        raise InvariantViolation(f"{label}: positive root {v!r} fits no length class")
     for i, (tag, _, count) in enumerate(CLASSES[family]):
         got = classes.count(i)
         if got != count(rank):
             raise InvariantViolation(
-                f"{system.rstype.label()}: {got} positive roots of class {tag}, "
-                f"expected {count(rank)}"
+                f"{label}: {got} positive roots of class {tag}, expected {count(rank)}"
             )
-    if len(system._pos_set) != len(system.positive_roots):
-        raise InvariantViolation(f"{system.rstype.label()}: duplicate positive roots")
+    if len(system._class_of) != len(system.positive_roots):
+        raise InvariantViolation(f"{label}: duplicate positive roots")
     if not system.contains_positive(system.highest_root):
-        raise InvariantViolation(f"{system.rstype.label()}: highest root not positive")
+        raise InvariantViolation(f"{label}: highest root not positive")
     # positive_roots ascend in sort_key order, so the last is the maximum.
     if system.positive_roots[-1] != system.highest_root:
-        raise InvariantViolation(
-            f"{system.rstype.label()}: highest root is not the lexicographic maximum"
-        )
+        raise InvariantViolation(f"{label}: highest root is not the lexicographic maximum")
     if rank > 8:
         return
     # Independent reconstruction: reflection closure of the simple roots,
@@ -688,60 +668,13 @@ def _check_build(system: RootSystem) -> None:
     if family == "BC":
         shortest = min(norm_sq(v) for v in pos)
         pos |= {2 * v for v in pos if norm_sq(v) == shortest}
-    if len(closure) > limit or pos != system._pos_set:
+    if len(closure) > limit or pos != system._class_of.keys():
         raise InvariantViolation(
-            f"{system.rstype.label()}: reflection closure disagrees with the "
-            f"explicit root list"
+            f"{label}: reflection closure disagrees with the explicit root list"
         )
-    reducible = family == "D" and rank == 2
-    if not reducible:
-        for mu in system.positive_roots:
-            w, _, _ = system._coefficient_numerators(system.highest_root - mu)
-            if any(x < 0 for x in w):
-                raise InvariantViolation(
-                    f"{system.rstype.label()}: highest root does not dominate {mu!r}"
-                )
-
-
-WOLF_ORTHOGONAL = "orthogonal"
-WOLF_HALF = "half"
-WOLF_HIGHEST = "highest"
-
-
-def wolf_ratio(system: RootSystem, lam: RootVec) -> Fraction:
-    return inner(lam, system.highest_root) / norm_sq(system.highest_root)
-
-
-def wolf_class(system: RootSystem, lam: RootVec) -> str:
-    """Value class of <lam, delta>/|delta|^2, which is 0, 1/2 or 1.
-
-    Any other ratio is impossible in a correctly built system, so it
-    raises InvariantViolation.
-    """
-    if not system.contains_positive(lam):
-        raise ValueError(f"{lam!r} is not a positive root of {system.rstype.label()}")
-    r = wolf_ratio(system, lam)
-    if r == 0:
-        return WOLF_ORTHOGONAL
-    if r == HALF:
-        return WOLF_HALF
-    if r == 1:
-        return WOLF_HIGHEST
-    raise InvariantViolation(
-        f"{system.rstype.label()}: Wolf ratio of {lam!r} is {r}, outside {{0, 1/2, 1}}"
-    )
-
-
-def delta_string_depth(system: RootSystem, lam: RootVec) -> int:
-    """Largest -p with lam - p*delta still in the delta-string through lam.
-
-    The string may pass through zero (that happens exactly for lam equal
-    to the highest root).
-    """
-    depth = 0
-    v = lam - system.highest_root
-    while system.contains(v) or v.is_zero():
-        depth -= 1
-        v = v - system.highest_root
-    return depth
-
+    heights = _heights(system)
+    top = heights[system.highest_root]
+    if not (family == "D" and rank == 2):  # D2 is reducible
+        for mu, coeffs in heights.items():
+            if any(map(operator.lt, top, coeffs)):
+                raise InvariantViolation(f"{label}: highest root does not dominate {mu!r}")

@@ -1,6 +1,6 @@
 """Small dense exact-rational linear algebra for the tests.
 
-The `Fraction` reference for the package's integer Gram inverse, and the
+The `Fraction` row reduction behind `reference.simple_coefficients`, and the
 kernels that tests compute from rational matrices (dimensions stay small).
 """
 

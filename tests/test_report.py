@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 
 from gaussorbits import cayley, ferus, orbits, pairdb, report, rootsys
-from gaussorbits.rootsys import rootvec
+from reference import rootvec
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
 

@@ -1,13 +1,13 @@
 import itertools
-import operator
 from fractions import Fraction
 
 import pytest
-from exact_linalg import rref
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from gaussorbits import rootsys as rs
-from gaussorbits.rootsys import RootVec, rootvec
+from gaussorbits.rootsys import RootVec
+from reference import rootvec, simple_coefficients
 
 ALL_TYPES = (
     [("A", p) for p in range(1, 9)]
@@ -160,7 +160,7 @@ class TestBuild:
     def test_g2_highest_root(self):
         g2 = rs.build("G2")
         assert len(g2.positive_roots) == 6
-        assert g2.simple_coefficients(g2.highest_root) == (3, 2)
+        assert simple_coefficients(g2, g2.highest_root) == (3, 2)
 
     def test_a1_single_root(self):
         a1 = rs.build("A", 1)
@@ -171,7 +171,7 @@ class TestBuild:
     def test_positive_roots_are_nonneg_simple_combinations(self, family, rank):
         system = rs.build(family, rank)
         for mu in system.positive_roots:
-            coeffs = system.simple_coefficients(mu)
+            coeffs = simple_coefficients(system, mu)
             assert all(c >= 0 for c in coeffs)
             assert all(c.denominator == 1 for c in coeffs)
 
@@ -199,7 +199,7 @@ class TestBuild:
             pytest.skip("D2 is reducible; no root dominates the other component")
         system = rs.build(family, rank)
         for mu in system.positive_roots:
-            coeffs = system.simple_coefficients(system.highest_root - mu)
+            coeffs = simple_coefficients(system, system.highest_root - mu)
             assert all(c >= 0 for c in coeffs)
 
     def test_simply_laced_single_length(self):
@@ -231,31 +231,31 @@ class TestWolf:
     def test_highest(self):
         for family, rank in [("B", 3), ("E7", 7), ("BC", 2)]:
             system = rs.build(family, rank)
-            assert rs.wolf_class(system, system.highest_root) == rs.WOLF_HIGHEST
+            assert reference.wolf_class(system, system.highest_root) == reference.WOLF_HIGHEST
 
     def test_orthogonal(self):
         b3 = rs.build("B", 3)
-        assert rs.wolf_class(b3, rootvec(0, 0, 1)) == rs.WOLF_ORTHOGONAL
+        assert reference.wolf_class(b3, rootvec(0, 0, 1)) == reference.WOLF_ORTHOGONAL
 
     def test_half_in_bc(self):
         bc2 = rs.build("BC", 2)
-        assert rs.wolf_class(bc2, rootvec(1, 0)) == rs.WOLF_HALF
+        assert reference.wolf_class(bc2, rootvec(1, 0)) == reference.WOLF_HALF
 
     def test_rejects_non_roots(self):
         b3 = rs.build("B", 3)
         with pytest.raises(ValueError):
-            rs.wolf_class(b3, rootvec(1, 1, 1))
+            reference.wolf_class(b3, rootvec(1, 1, 1))
 
     @pytest.mark.parametrize("family,rank", ALL_TYPES)
     def test_ratio_cases_everywhere(self, family, rank):
         system = rs.build(family, rank)
         delta = system.highest_root
         for lam in system.positive_roots:
-            cls = rs.wolf_class(system, lam)
+            cls = reference.wolf_class(system, lam)
             diff_is_root = system.contains(lam - delta)
-            if cls == rs.WOLF_ORTHOGONAL:
+            if cls == reference.WOLF_ORTHOGONAL:
                 assert not diff_is_root
-            elif cls == rs.WOLF_HALF:
+            elif cls == reference.WOLF_HALF:
                 assert diff_is_root
             else:
                 assert lam == delta
@@ -264,8 +264,8 @@ class TestWolf:
     def test_string_depth(self, family, rank):
         system = rs.build(family, rank)
         for lam in system.positive_roots:
-            depth = rs.delta_string_depth(system, lam)
-            assert depth == -2 * rs.wolf_ratio(system, lam)
+            depth = reference.delta_string_depth(system, lam)
+            assert depth == -2 * reference.wolf_ratio(system, lam)
             assert depth in (0, -1, -2)
             assert (depth == -2) == (lam == system.highest_root)
 
@@ -304,7 +304,7 @@ class TestOrderAndClasses:
     def test_simple_coefficients_rejects_outside_span(self):
         a2 = rs.build("A", 2)
         with pytest.raises(ValueError):
-            a2.simple_coefficients(rootvec(1, 1, 1))
+            simple_coefficients(a2, rootvec(1, 1, 1))
 
     def test_fundamental_coweights(self):
         for family, rank in [("A", 3), ("B", 3), ("G2", 2)]:
@@ -329,7 +329,7 @@ class TestExceptionalTranscription:
     )
     def test_highest_root_coefficients(self, name, coeffs):
         system = rs.build(name)
-        assert system.simple_coefficients(system.highest_root) == coeffs
+        assert simple_coefficients(system, system.highest_root) == coeffs
 
     def test_e_series_diagram_shape(self):
         # node 2 hangs off node 4; nodes 1-3-4-5-... form a chain
@@ -432,32 +432,31 @@ class TestNegation:
             assert system.class_index(neg) == system.class_index(v)
 
 
-GRAM_TYPES = (
-    [(f, p) for f in ("A", "B", "C", "BC") for p in range(1, 11)]
-    + [("D", p) for p in range(2, 11)]
-    + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
-)
+HEIGHT_TYPES = ALL_TYPES + [(f, 12) for f in ("B", "C", "BC")]
 
 
-class TestGramInverse:
-    """The integer Gram inverse m / d against a `Fraction` row reduction."""
+class TestHeights:
+    """The height walk against the `Fraction` solve in `reference`."""
 
-    @pytest.mark.parametrize("family,rank", GRAM_TYPES)
-    def test_matches_fraction_inverse(self, family, rank):
+    @pytest.mark.parametrize("family,rank", HEIGHT_TYPES)
+    def test_matches_the_reference_solve(self, family, rank):
         system = rs.build(family, rank)
-        rows, e, m, d = system._gram_inverse()
-        assert rows == [
-            tuple(x * (e // s._den) for x in s._num) for s in system.simple_roots
-        ]
-        n = len(rows)
-        gram = [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
-        reduced, pivots = rref(
-            [row + [int(i == j) for j in range(n)] for i, row in enumerate(gram)]
+        heights = rs._heights(system)
+        assert list(heights) == list(system.positive_roots)
+        for beta, coeffs in heights.items():
+            assert coeffs == simple_coefficients(system, beta)
+
+    def test_a_simple_root_that_is_not_positive(self):
+        # A2 on the simple roots alpha_1 and alpha_2 - alpha_1, made without
+        # `_check_build`, whose reflection closure would refuse it first.
+        a2 = rs.build("A", 2)
+        a1, a2_ = a2.simple_roots
+        system = rs.RootSystem(
+            a2.rstype, a2.ambient_dim, (a1, a2_ - a1), a2.positive_roots,
+            a2.highest_root, a2.significance,
         )
-        assert pivots == list(range(n))
-        assert [[Fraction(x, d) for x in row] for row in m] == [
-            row[n:] for row in reduced
-        ]
+        with pytest.raises(rs.InvariantViolation, match="A2: a simple root is not a positive root"):
+            rs._heights(system)
 
 
 # These two classes clear the build cache in their tests, so they come
@@ -497,7 +496,6 @@ class TestIntegerOrder:
         rs._build_cached.cache_clear()
         try:
             system = rs.build(family, 9)
-            assert system._gram_inv is None  # above rank 8 no check reads it
             for i, h in enumerate(system.fundamental_coweights()):
                 for j, alpha in enumerate(system.simple_roots):
                     assert rs.inner(h, alpha) == int(i == j)
@@ -605,5 +603,26 @@ class TestCheckBuild:
         try:
             with pytest.raises(rs.InvariantViolation, match="reflection closure disagrees"):
                 rs.build(family, rank)
+        finally:
+            rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("rank", [3, 5, 8])
+    def test_simple_roots_that_are_no_base(self, monkeypatch, rank):
+        # alpha_1, alpha_1 + alpha_2, alpha_3, ... span the root lattice and
+        # their reflections generate the Weyl group, so the reflection
+        # closure holds; but e_2 - e_3 is no sum of them with coefficients
+        # of one sign.
+        build = rs._CONSTRUCTORS["A"]
+
+        def no_base(p):
+            simple, positive, highest, significance = build(p)
+            simple[1] = simple[0] + simple[1]
+            return simple, positive, highest, significance
+
+        monkeypatch.setitem(rs._CONSTRUCTORS, "A", no_base)
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(rs.InvariantViolation, match=f"A{rank}: "):
+                rs.build("A", rank)
         finally:
             rs._build_cached.cache_clear()
