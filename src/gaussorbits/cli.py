@@ -248,8 +248,9 @@ def pairs_list_cmd(ctx):
     click.echo(report.render_table(headers, cells, ctx.obj["fmt"]), nl=False)
 
 
-# A group called without a subcommand prints its help (click 8.2 and
-# later raise this; earlier click exits 0 after the help).
+# A group called without a subcommand prints its help as --help does, on
+# stdout with exit 0 (click 8.2 and later raise this; earlier click does
+# so itself).
 _NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 
@@ -263,8 +264,8 @@ def main(argv=None) -> int:
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except _NO_ARGS_IS_HELP as exc:
-        exc.show()
-        return 1
+        click.echo(exc.ctx.get_help(), color=exc.ctx.color)
+        return 0
     except click.Abort:
         return 1
     except click.ClickException as exc:

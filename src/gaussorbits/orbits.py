@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
 from . import pairdb, rootsys
 from .rootsys import InvariantViolation, RootSystem, RootVec, inner, is_orthogonal
@@ -55,63 +56,112 @@ class CurvatureSpectrum:
 
 
 def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
-    """The closed-chamber representative of the Weyl orbit of H."""
+    """The closed-chamber representative of the Weyl orbit of H.
+
+    Reflects in the first simple root with a negative pairing until none
+    is left.  The walk runs on one list of numerators over a common
+    denominator: with n / m = 2<V, A> / <A, A> in lowest terms, as in
+    `rootsys.reflect`, a reflection is V -> m V - n A, which touches only
+    the support of A when m is 1.  It visits the same rational vectors as
+    repeated `reflect` calls, and builds one RootVec at the end.
+    """
     if H.dim != system.ambient_dim:
         raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
     if H.is_zero():
         raise ValueError("H must be nonzero")
-    current = H
+    num, den = list(H._num), H._den
     while True:
-        num = current._num
-        for alpha, support in zip(system.simple_roots, system.simple_support):
+        for support in system.simple_support:
             dot = 0
             for i, x in support:
                 dot += x * num[i]
             if dot < 0:
-                current = rootsys.reflect(current, alpha)
+                n = 2 * dot
+                m = sum(x * x for _, x in support)
+                g = gcd(n, m)
+                n //= g
+                m //= g
+                if m != 1:
+                    num = [m * x for x in num]
+                    den *= m
+                for i, x in support:
+                    num[i] -= n * x
                 break
         else:
-            return current
+            return RootVec._raw(tuple(num), den)
+
+
+# Class counts per (system, walls of H); see _orbit_facts.  Bounded like
+# cond_a and cond_b: once full, the oldest entry goes.
+_WALL_COUNTS_MAX = 4096
+_wall_counts: dict = {}
+
+# The class lengths of each family, longest first.
+_LENGTHS_DOWN = {
+    family: sorted((length for _, length, _ in classes), reverse=True)
+    for family, classes in rootsys.CLASSES.items()
+}
 
 
 def _orbit_facts(system: RootSystem, H: RootVec):
     """The facts of the orbit through the chamber point H that no pair changes.
 
-    One pass over the positive roots gives, per class of
-    CLASSES[family], the number of positive roots not orthogonal to H,
-    and the longest positive root lam on the line of H (in a BC system
-    both e_1 and 2e_1 lie on one line; the longer one is kept so the rule
-    sees the long root).  Returns (counts, lam, root class of lam, (a)
-    and (b) at lam); the last three are None when no root is on the line.
+    Returns (counts, lam, root class of lam, (a) and (b) at lam): counts
+    holds, per class of CLASSES[family], the number of positive roots not
+    orthogonal to H, and lam is the longest root on the line of H (in a
+    BC system e_1 and 2e_1 share a line; the rule must see the long one).
+    The last three are None when no root is on the line.
 
-    Each <mu, H> reads only the nonzero coordinates of H, and the walk
-    starts at the top, where a highest-root H meets its lam first; the
-    counts are sums and lam is the longest root on the line of H, so the
-    order does not change the result.
+    For a chamber point every <alpha_i, H> >= 0 and every positive root
+    has coefficients c_i >= 0, so <beta, H> = sum c_i <alpha_i, H> is a sum
+    of non-negative terms (Humphreys, Introduction to Lie Algebras, 10.1):
+    the roots orthogonal to H, hence the counts, depend only on the walls
+    {i : <alpha_i, H> = 0}.  One pass over the positive roots counts them
+    for each new (system, walls).  A root t H on the line of H is dominant,
+    hence positive, with t = sqrt(L / |H|^2) for its class length L; so lam
+    is found by looking up t H for each L, longest first, that makes t
+    rational.  An H outside the closed chamber raises ValueError.
     """
     if H.dim != system.ambient_dim:
         raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
-    support = [(i, x) for i, x in enumerate(H._num) if x]
-    counts = [0] * len(rootsys.CLASSES[system.rstype.family])
-    lam = lam_norm = None
-    for mu, c, norm in zip(
-        reversed(system.positive_roots),
-        reversed(system.positive_classes),
-        reversed(system.positive_norms),
-    ):
-        num = mu._num
+    num = H._num
+    walls = []
+    for support in system.simple_support:
         dot = 0
         for i, x in support:
             dot += x * num[i]
-        if not dot:
-            continue
-        counts[c] += 1
-        if (lam is None or norm > lam_norm) and rootsys.is_parallel(mu, H):
-            lam, lam_norm = mu, norm
-    counts = tuple(counts)
-    if lam is None:
-        return counts, None, None, None
-    return counts, lam, system.root_class(lam), cond_a(system, lam) and cond_b(system, lam)
+        if dot < 0:
+            raise ValueError(
+                f"{H!r} is not in the closed chamber of {system.rstype.label()}"
+            )
+        walls.append(not dot)
+    key = (system, tuple(walls))
+    counts = _wall_counts.get(key)
+    if counts is None:
+        support = [(i, x) for i, x in enumerate(num) if x]
+        tally = [0] * len(rootsys.CLASSES[system.rstype.family])
+        for mu, c in zip(system.positive_roots, system.positive_classes):
+            mu_num = mu._num
+            dot = 0
+            for i, x in support:
+                dot += x * mu_num[i]
+            if dot:
+                tally[c] += 1
+        counts = tuple(tally)
+        if len(_wall_counts) >= _WALL_COUNTS_MAX:
+            del _wall_counts[next(iter(_wall_counts))]
+        _wall_counts[key] = counts
+    # With H = N / d, the root on the line with |t H|^2 = L is (s / |N|^2) N
+    # for s = sqrt(L |N|^2), rational only when L |N|^2 is a square.
+    hh = sum(x * x for x in num)
+    for length in _LENGTHS_DOWN[system.rstype.family]:
+        s = isqrt(length * hh)
+        if s * s == length * hh:
+            lam = RootVec._raw(tuple(s * x for x in num), hh)
+            if system.contains_positive(lam):
+                ab = cond_a(system, lam) and cond_b(system, lam)
+                return counts, lam, system.root_class(lam), ab
+    return counts, None, None, None
 
 
 @lru_cache(maxsize=4096)

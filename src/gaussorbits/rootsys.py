@@ -179,18 +179,6 @@ def norm_sq(a: RootVec) -> Fraction:
     return inner(a, a)
 
 
-def is_parallel(a: RootVec, b: RootVec) -> bool:
-    """True when a and b are nonzero multiples of each other (either sign)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    an, bn = a._num, b._num
-    j = next((i for i, x in enumerate(bn) if x), None)
-    if j is None or not any(an):
-        return False
-    aj, bj = an[j], bn[j]
-    return all(x * bj == aj * y for x, y in zip(an, bn))
-
-
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
@@ -293,7 +281,6 @@ class RootSystem:
         "simple_roots",
         "simple_support",
         "positive_roots",
-        "positive_norms",
         "positive_classes",
         "highest_root",
         "significance",
@@ -334,7 +321,6 @@ class RootSystem:
         for v in positive:
             n, d2 = _dot_sign_num(v, v), v._den * v._den
             norms.append(Fraction(n, d2) if n % d2 else n // d2)
-        object.__setattr__(self, "positive_norms", tuple(norms))
         # Class index into CLASSES[family] of each positive root; None for a
         # length no class has, which _check_build rejects.
         index = {length: i for i, (_, length, _) in enumerate(CLASSES[rstype.family])}
@@ -610,21 +596,38 @@ def _heights(system: RootSystem) -> dict[RootVec, tuple[int, ...]]:
     no base: InvariantViolation.
     """
     label = system.rstype.label()
+    if not all(map(system.contains_positive, system.simple_roots)):
+        raise InvariantViolation(f"{label}: a simple root is not a positive root")
+    # The walk runs on numerators over the roots' common denominator e, so
+    # beta - alpha_i is a subtraction on alpha_i's support and a lookup.
+    e = lcm(*(v._den for v in system.positive_roots))
     units = {
-        alpha: tuple(int(i == j) for j in range(system.rank))
+        tuple(x * (e // alpha._den) for x in alpha._num): tuple(
+            int(i == j) for j in range(system.rank)
+        )
         for i, alpha in enumerate(system.simple_roots)
     }
-    if not all(map(system.contains_positive, units)):
-        raise InvariantViolation(f"{label}: a simple root is not a positive root")
-    steps = tuple(enumerate(zip(system.simple_roots, system.simple_support)))
-    heights = {}
+    supports = [
+        tuple((k, x * (e // alpha._den)) for k, x in support)
+        for alpha, support in zip(system.simple_roots, system.simple_support)
+    ]
+    # <beta, alpha_i> is 0 unless alpha_i meets the support of beta.
+    touching = [[] for _ in range(system.ambient_dim)]
+    for i, support in enumerate(supports):
+        for k, _ in support:
+            touching[k].append(i)
+    walked, heights = {}, {}
     for beta in system.positive_roots:
-        coeffs = units.get(beta)
+        num = beta._num if beta._den == e else tuple(x * (e // beta._den) for x in beta._num)
+        coeffs = units.get(num)
         if coeffs is None:
-            num = beta._num
-            for i, (alpha, support) in steps:
+            for i in sorted({i for k, x in enumerate(num) if x for i in touching[k]}):
+                support = supports[i]
                 if sum(x * num[k] for k, x in support) > 0:
-                    below = heights.get(beta - alpha)
+                    below = list(num)
+                    for k, x in support:
+                        below[k] -= x
+                    below = walked.get(tuple(below))
                     if below is not None:
                         coeffs = below[:i] + (below[i] + 1,) + below[i + 1:]
                         break
@@ -632,7 +635,7 @@ def _heights(system: RootSystem) -> dict[RootVec, tuple[int, ...]]:
                 raise InvariantViolation(
                     f"{label}: positive root {beta!r} is no simple root plus a lower one"
                 )
-        heights[beta] = coeffs
+        walked[num] = heights[beta] = coeffs
     return heights
 
 

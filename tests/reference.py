@@ -1,9 +1,11 @@
 """Test-side references for facts the package does not compute itself.
 
 `simple_coefficients` solves for simple-root coefficients with a
-`Fraction` row reduction, independent of the package's height walk; the
-Wolf ratio, the delta-string depth and the nullity bound state facts of
-the paper's setting that the tests check against `rootsys` and `orbits`.
+`Fraction` row reduction, independent of the package's height walk;
+`is_parallel` is the proportionality test that `orbits` replaces by a
+lookup; the Wolf ratio, the delta-string depth and the nullity bound
+state facts of the paper's setting that the tests check against
+`rootsys` and `orbits`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from functools import lru_cache
 
 from exact_linalg import rref
 
-from gaussorbits import rootsys
 from gaussorbits.rootsys import InvariantViolation, RootSystem, RootVec, inner, norm_sq
 
 
@@ -92,6 +93,18 @@ def delta_string_depth(system: RootSystem, lam: RootVec) -> int:
     return depth
 
 
+def is_parallel(a: RootVec, b: RootVec) -> bool:
+    """True when a and b are nonzero multiples of each other (either sign)."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    an, bn = a._num, b._num
+    j = next((i for i, x in enumerate(bn) if x), None)
+    if j is None or not any(an):
+        return False
+    aj, bj = an[j], bn[j]
+    return all(x * bj == aj * y for x, y in zip(an, bn))
+
+
 def nullity_upper_bound(pair, H: RootVec) -> int:
     """Sum of m(mu) over positive roots mu on the line of H.
 
@@ -104,5 +117,5 @@ def nullity_upper_bound(pair, H: RootVec) -> int:
     return sum(
         pair.multiplicity(mu)
         for mu in pair.system().positive_roots
-        if rootsys.is_parallel(mu, H)
+        if is_parallel(mu, H)
     )

@@ -367,6 +367,10 @@ class TestUsageErrors:
         assert (code, err) == (0, "")
         assert out.startswith("Usage: ") and "Options:" in out
 
+    @pytest.mark.parametrize("argv", [(), ("pairs",), ("--format", "csv", "pairs")])
+    def test_a_bare_group_prints_its_help(self, run, argv):
+        assert run(*argv) == run(*argv, "--help")
+
 
 def _leaf_commands(group, prefix=()):
     # (argv prefix, command) of every runnable subcommand.
@@ -439,6 +443,9 @@ def _option_argv(command):
 @st.composite
 def _argvs(draw):
     argv = draw(_option_argv(cli.cli))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        # A bare group: `gaussorbits`, or `gaussorbits [options] pairs`.
+        return draw(st.sampled_from([(), argv + ("pairs",)]))
     prefix, command = draw(st.sampled_from(list(_leaf_commands(cli.cli))))
     argv += prefix + draw(_option_argv(command))
     return argv + tuple(draw(st.lists(st.sampled_from(["--bogus", "extra"]), max_size=1)))

@@ -120,6 +120,27 @@ class TestFoldReference:
                     assert orbits.weyl_fold(system, v) == _dense_fold(system, v), (
                         system, v)
 
+    @pytest.mark.parametrize("family,den", [
+        ("G2", 1), ("B", 1), ("C", 1), ("F4", 1), ("E6", 2), ("E7", 2), ("E8", 2),
+    ])
+    def test_matches_dense_fold_where_m_exceeds_one(self, family, den):
+        # 2<V, A> / <A, A> has a denominator m > 1 at G2's long simple root
+        # and F4's and E's half-integral one; the fold then scales every
+        # coordinate.  B and C keep m = 1 at their short simple roots.
+        system = rootsys.build(family, 3 if family in ("B", "C") else None)
+        rng = random.Random(29)
+        folded = []
+        for _ in range(60):
+            # Half-integral inputs have odd numerators.
+            H = RootVec([Fraction(rng.randint(-4, 4) * den + den - 1, den)
+                         for _ in range(system.ambient_dim)])
+            if H.is_zero():
+                continue
+            folded.append(orbits.weyl_fold(system, H))
+            assert folded[-1] == _dense_fold(system, H), (system, H)
+        if family not in ("B", "C"):
+            assert any(v._den > den for v in folded)
+
 
 def _dense_orbit_facts(system, H):
     # Reference: a full-coordinate Fraction dot, an ascending walk, and
@@ -129,7 +150,7 @@ def _dense_orbit_facts(system, H):
     for mu in system.positive_roots:
         if rootsys.inner(mu, H) != 0:
             counts[system.class_index(mu)] += 1
-            if rootsys.is_parallel(mu, H):
+            if reference.is_parallel(mu, H):
                 on_line.append(mu)
     if not on_line:
         return tuple(counts), None, None, None
@@ -173,6 +194,67 @@ class TestOrbitFactsReference:
             H = rootsys.primitive_ray(H)
             assert orbits._orbit_facts(system, H) == _dense_orbit_facts(system, H), (
                 system, H)
+
+
+_SYSTEMS_TO_8 = list(_systems(8))
+
+
+@st.composite
+def _chamber_points(draw):
+    # (system, H, H2): an integer chamber point H of a system of rank <= 8
+    # with a random zero pattern of coweight coefficients, or the fold of a
+    # positive root; H2 has the same zero pattern as H.
+    system = draw(st.sampled_from(_SYSTEMS_TO_8))
+    coweights = system.fundamental_coweights()
+    walls = draw(st.lists(st.booleans(), min_size=system.rank, max_size=system.rank))
+
+    def point():
+        H = RootVec([0] * system.ambient_dim)
+        for wall, w in zip(walls, coweights):
+            if not wall:
+                H = H + draw(st.integers(min_value=1, max_value=4)) * w
+        return rootsys.primitive_ray(H)
+
+    if all(walls) or draw(st.booleans()):
+        root = draw(st.sampled_from(system.positive_roots))
+        H = rootsys.primitive_ray(orbits.weyl_fold(system, -root))
+        return system, H, H
+    return system, point(), point()
+
+
+class TestWallCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(_chamber_points(), st.booleans())
+    def test_matches_the_dense_pass(self, case, cold):
+        system, H, H2 = case
+        if cold:
+            orbits._wall_counts.clear()
+        assert orbits._orbit_facts(system, H) == _dense_orbit_facts(system, H)
+        counts = _dense_orbit_facts(system, H2)[0]
+        assert orbits._orbit_facts(system, H2)[0] == counts == _dense_orbit_facts(system, H)[0]
+
+    def test_a_point_outside_the_chamber(self):
+        # -theta, and theta reflected in a simple root it pairs with.
+        for system in _SYSTEMS_TO_8:
+            theta = system.highest_root
+            moved = {rootsys.reflect(theta, alpha) for alpha in system.simple_roots}
+            for H in {-theta} | moved - {theta}:
+                with pytest.raises(ValueError, match="not in the closed chamber"):
+                    orbits._orbit_facts(system, H)
+
+    def test_the_cache_stays_bounded(self):
+        # A13 has 2^13 - 1 wall sets of nonzero chamber points: H_i is the
+        # number of steps at or after i, and alpha_i is a wall where step i
+        # is 0.
+        system = rootsys.build("A", 13)
+        orbits._wall_counts.clear()
+        for pattern in range(1, 2 ** 13):
+            steps = [(pattern >> i) & 1 for i in range(13)] + [0]
+            H = RootVec([sum(steps[i:]) for i in range(14)])
+            orbits._orbit_facts(system, H)
+            assert len(orbits._wall_counts) <= orbits._WALL_COUNTS_MAX
+        assert len(orbits._wall_counts) == orbits._WALL_COUNTS_MAX
+        orbits._wall_counts.clear()
 
 
 class TestCanonicalClassRep:
@@ -481,7 +563,7 @@ class TestPrincipalCurvatures:
                     if all(rootsys.is_orthogonal(mu, xi) for xi in basis)
                 ]
                 assert set(common) == {
-                    mu for mu in system.positive_roots if rootsys.is_parallel(mu, H)
+                    mu for mu in system.positive_roots if reference.is_parallel(mu, H)
                 }
 
 
