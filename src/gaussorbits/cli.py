@@ -64,12 +64,12 @@ def table1_cmd(ctx, p_range, n_range, check):
     db = ctx.obj["db"]
     fmt = ctx.obj["fmt"]
     check = check or ctx.obj["check"]
+    grid = {
+        "p_range": _parse_range(p_range, report.TABLE1_P_RANGE),
+        "n_range": _parse_range(n_range, report.TABLE1_N_RANGE),
+    }
     if check:
-        problems = report.check_table1(
-            db,
-            p_range=_parse_range(p_range, (2, 6)),
-            n_range=_parse_range(n_range, (1, 4)),
-        )
+        problems = report.check_table1(db, **grid)
         if problems:
             raise VerificationFailure(
                 "table1 check failed:\n" + "\n".join(problems)
@@ -77,14 +77,10 @@ def table1_cmd(ctx, p_range, n_range, check):
         click.echo("table1 check: all rows match the expected table")
         return
     if p_range is None and n_range is None:
-        headers, cells = report.table1_cells(report.table1_rows(db))
+        headers, cells = report.cells(report.Table1Row, report.table1_rows(db))
     else:
-        instances = report.table1_instances(
-            db,
-            p_range=_parse_range(p_range, (2, 6)),
-            n_range=_parse_range(n_range, (1, 4)),
-        )
-        headers, cells = report.table1_instance_cells(instances)
+        instances = report.table1_instances(db, **grid)
+        headers, cells = report.cells(report.Table1Instance, instances)
     click.echo(report.render_table(headers, cells, fmt), nl=False)
 
 
@@ -117,12 +113,19 @@ def classify_cmd(ctx, pair_key, root_spec, p, n, xi):
     payload = report.to_json(rep)
     if xi is not None:
         spec = orbits.principal_curvatures(pair, rep.H, rootsys.RootVec.parse(xi))
-        payload["curvature_spectrum"] = report.to_json(spec)["entries"]
-    fmt = ctx.obj["fmt"]
+        payload["curvature_spectrum"] = report.to_json(spec)
+    _echo_record(ctx.obj["fmt"], payload)
+
+
+def _echo_record(fmt: str, payload: dict, **table_values) -> None:
+    """Print one record: its JSON, or a field/value table.
+
+    A keyword names a field whose table cell differs from its JSON value.
+    """
     if fmt == "json":
         click.echo(report.render_json(payload), nl=False)
         return
-    rows = [[key, _plain(value)] for key, value in payload.items()]
+    rows = [[key, _plain(table_values.get(key, value))] for key, value in payload.items()]
     click.echo(report.render_table(["field", "value"], rows, fmt), nl=False)
 
 
@@ -156,13 +159,7 @@ def ferus_cmd(ctx, l_value, scan, verify_identities, qmax, p_range, n_range, lma
     if sum(map(bool, (l_value is not None, scan, verify_identities))) != 1:
         raise click.UsageError("use exactly one of --l, --scan, --verify-identities")
     if l_value is not None:
-        cert = ferus.ferus(l_value)
-        payload = report.to_json(cert)
-        if fmt == "json":
-            click.echo(report.render_json(payload), nl=False)
-        else:
-            rows = [[k, str(v)] for k, v in payload.items()]
-            click.echo(report.render_table(["field", "value"], rows, fmt), nl=False)
+        _echo_record(fmt, report.to_json(ferus.ferus(l_value)))
         return
     if verify_identities:
         for flag, value, cap in (("--qmax", qmax, ferus.MAX_QMAX),
@@ -204,20 +201,8 @@ def appendix_cmd(ctx, algebra):
     system = rootsys.build(algebra.upper())
     verdict = cayley.verify_appendix(system)
     payload = report.to_json(verdict) | {"ok": verdict.ok}
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        click.echo(report.render_json(payload), nl=False)
-    else:
-        rows = []
-        for key, value in payload.items():
-            if key == "gammas":
-                names = [
-                    ",".join(v) for v in value
-                ]
-                rows.append([key, "  ".join(names)])
-            else:
-                rows.append([key, _plain(value)])
-        click.echo(report.render_table(["field", "value"], rows, fmt), nl=False)
+    gammas = "  ".join(",".join(v) for v in payload["gammas"])
+    _echo_record(ctx.obj["fmt"], payload, gammas=gammas)
     if not verdict.ok:
         raise VerificationFailure(f"appendix verification failed for {algebra}")
 

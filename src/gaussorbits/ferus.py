@@ -9,7 +9,7 @@ r = F(l) sit exactly on that boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import orbits, pairdb
 
@@ -99,7 +99,7 @@ class ScanRow:
     degenerate: bool
     l: int
     r: int
-    ferus_l: int
+    ferus_l: int = field(metadata={"header": "F(l)"})
     equality: bool
 
 

@@ -48,13 +48,6 @@ class OrbitReport:
             raise InvariantViolation(f"degenerate orbit with rule {self.rule}")
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
-    """Shape-operator eigenvalues with multiplicities, summing to l."""
-
-    entries: tuple[tuple[Fraction, int], ...]
-
-
 def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
     """The closed-chamber representative of the Weyl orbit of H.
 
@@ -203,11 +196,9 @@ def _canonical_class_rep(system: RootSystem, spec: str) -> RootVec:
     raise ValueError(f"no {spec} roots in {system.rstype.label()}")
 
 
-def resolve_orbit(pair: pairdb.Pair, spec) -> RootVec:
-    """Turn an orbit spec (vector or one of ORBIT_SPECS) into a chamber point."""
+def resolve_orbit(pair: pairdb.Pair, spec: str) -> RootVec:
+    """The chamber point of pair's system that one of ORBIT_SPECS names."""
     system = pair.system()
-    if isinstance(spec, RootVec):
-        return spec
     if spec in ("highest", "long"):
         return system.highest_root
     if spec in ("short", "middle"):
@@ -279,10 +270,13 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     )
 
 
-def principal_curvatures(pair: pairdb.Pair, H: RootVec, xi: RootVec) -> CurvatureSpectrum:
+def principal_curvatures(
+    pair: pairdb.Pair, H: RootVec, xi: RootVec
+) -> tuple[tuple[Fraction, int], ...]:
     """Eigenvalues -<lam,xi>/<lam,H> of the shape operator A_xi, merged.
 
-    xi must be a normal direction inside the flat: <xi, H> = 0.
+    Returns the sorted (value, multiplicity) pairs; the multiplicities sum
+    to l.  xi must be a normal direction inside the flat: <xi, H> = 0.
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
@@ -298,5 +292,4 @@ def principal_curvatures(pair: pairdb.Pair, H: RootVec, xi: RootVec) -> Curvatur
             continue
         value = -inner(lam, xi) / denom
         spectrum[value] = spectrum.get(value, 0) + pair.multiplicity(lam)
-    entries = tuple(sorted(spectrum.items()))
-    return CurvatureSpectrum(entries=entries)
+    return tuple(sorted(spectrum.items()))

@@ -103,11 +103,6 @@ def compile_expr(text: str):
     return evaluate
 
 
-def eval_expr(text: str, p: int | None = None, n: int | None = None) -> int:
-    """Evaluate an integer-valued arithmetic expression in p and n."""
-    return compile_expr(text)(p, n)
-
-
 def _expr_uses(text: str, name: str) -> bool:
     return re.search(rf"\b{name}\b", text) is not None
 

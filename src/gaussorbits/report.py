@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields, is_dataclass
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -25,9 +26,9 @@ class VerificationFailure(Exception):
     """A --check style comparison found mismatches."""
 
 
-def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+# The default instantiation grid of `table1` and `table1 --check`.
+TABLE1_P_RANGE = (2, 6)
+TABLE1_N_RANGE = (1, 4)
 
 
 def _render_affine(a: int, b: int, c: int) -> str:
@@ -47,23 +48,19 @@ def _render_affine(a: int, b: int, c: int) -> str:
 
 @dataclass(frozen=True)
 class Table1Row:
-    rstype: str
+    rstype: str = field(metadata={"header": "type"})
     rank: str
     g: str
     k: str
     l: str
     r: str
-    degeneracy: int
+    degeneracy: int = field(metadata={"header": "l-r"})
 
     def __post_init__(self):
         # degeneracy must equal l - r identically; test at two points.
+        l, r = pairdb.compile_expr(self.l), pairdb.compile_expr(self.r)
         for p, n in ((3, 2), (5, 4)):
-            args = {}
-            if "p" in self.l + self.r:
-                args["p"] = p
-            if "n" in self.l + self.r:
-                args["n"] = n
-            got = pairdb.eval_expr(self.l, **args) - pairdb.eval_expr(self.r, **args)
+            got = l(p, n) - r(p, n)
             if got != self.degeneracy:
                 raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
 
@@ -74,8 +71,12 @@ def _classified_lr(family: pairdb.PairFamily, p: int | None, n: int | None, memo
     return report.l, report.r
 
 
-def _affine_fit(family: pairdb.PairFamily, memo: dict) -> tuple[str, str]:
-    """Affine formulas for (l, r), fitted and checked on one set of points."""
+def _affine_fit(family: pairdb.PairFamily, memo: dict) -> tuple[str, str, int]:
+    """Affine formulas for (l, r), fitted and checked on one set of points.
+
+    The third entry is l - r at the first point, the degeneracy that
+    Table1Row checks to be constant.
+    """
     p0 = family.p_min if family.uses_p else None
     n0 = family.n_min if family.uses_n else None
     lr = {}
@@ -94,7 +95,8 @@ def _affine_fit(family: pairdb.PairFamily, memo: dict) -> tuple[str, str]:
         if any(v[component] != a * (p or 0) + b * (n or 0) + c for (p, n), v in lr.items()):
             raise VerificationFailure(f"{family.key}: table value is not affine in (p, n)")
         formulas.append(_render_affine(a, b, c))
-    return tuple(formulas)
+    l, r = lr[p0, n0]
+    return formulas[0], formulas[1], l - r
 
 
 def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
@@ -102,11 +104,7 @@ def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
     rows = []
     memo: dict = {}
     for family in db:
-        l, r = _affine_fit(family, memo)
-        args = {"p": 3} if family.uses_p else {}
-        if family.uses_n:
-            args["n"] = 2
-        deg = pairdb.eval_expr(l, **args) - pairdb.eval_expr(r, **args)
+        l, r, deg = _affine_fit(family, memo)
         rows.append(
             Table1Row(
                 rstype=family.family,
@@ -123,14 +121,14 @@ def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
 
 @dataclass(frozen=True)
 class Table1Instance:
-    rstype: str
+    rstype: str = field(metadata={"header": "type"})
     g: str
     k: str
     p: int | None
     n: int | None
     l: int
     r: int
-    degeneracy: int
+    degeneracy: int = field(metadata={"header": "l-r"})
 
 
 def table1_instances(
@@ -160,27 +158,30 @@ def table1_instances(
 
 
 def load_expected() -> list[Table1Row]:
-    """The golden table; its schema equals the symbolic CSV output."""
+    """The golden table, read as the symbolic CSV output writes it.
+
+    A file whose header is not that output's header is refused.
+    """
     text = resources.files("gaussorbits").joinpath("data/table1.expected").read_text()
-    reader = csv.DictReader(io.StringIO(text))
-    return [
-        Table1Row(
-            rstype=rec["type"],
-            rank=rec["rank"],
-            g=rec["g"],
-            k=rec["k"],
-            l=rec["l"],
-            r=rec["r"],
-            degeneracy=int(rec["l-r"]),
+    reader = csv.reader(io.StringIO(text))
+    headers, _ = cells(Table1Row, [])
+    got = next(reader, [])
+    if got != headers:
+        raise ValueError(
+            f"table1.expected has header {','.join(got)!r}, expected {','.join(headers)!r}"
         )
+    types = typing.get_type_hints(Table1Row)
+    names = [f.name for f in fields(Table1Row)]
+    return [
+        Table1Row(*(types[name](cell) for name, cell in zip(names, rec, strict=True)))
         for rec in reader
     ]
 
 
 def check_table1(
     db: pairdb.PairDatabase,
-    p_range: tuple[int, int] = (2, 6),
-    n_range: tuple[int, int] = (1, 4),
+    p_range: tuple[int, int] = TABLE1_P_RANGE,
+    n_range: tuple[int, int] = TABLE1_N_RANGE,
 ) -> list[str]:
     """Mismatches between computed table values and the golden file.
 
@@ -202,10 +203,10 @@ def check_table1(
         exp = by_gk.get((family.g_name, family.k_name))
         if exp is None:
             continue
+        l_of, r_of = pairdb.compile_expr(exp.l), pairdb.compile_expr(exp.r)
         for pair in family.instantiations(p_range=p_range, n_range=n_range):
             report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
-            want_l = pairdb.eval_expr(exp.l, p=pair.p, n=pair.n)
-            want_r = pairdb.eval_expr(exp.r, p=pair.p, n=pair.n)
+            want_l, want_r = l_of(pair.p, pair.n), r_of(pair.p, pair.n)
             if (report.l, report.r, report.nullity) != (
                 want_l,
                 want_r,
@@ -252,50 +253,28 @@ def render_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def table1_cells(rows: list[Table1Row]):
-    headers = ["type", "rank", "g", "k", "l", "r", "l-r"]
-    cells = [
-        [row.rstype, row.rank, row.g, row.k, row.l, row.r, str(row.degeneracy)]
-        for row in rows
-    ]
-    return headers, cells
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def table1_instance_cells(rows: list[Table1Instance]):
-    headers = ["type", "g", "k", "p", "n", "l", "r", "l-r"]
-    cells = [
-        [
-            row.rstype,
-            row.g,
-            row.k,
-            "" if row.p is None else str(row.p),
-            "" if row.n is None else str(row.n),
-            str(row.l),
-            str(row.r),
-            str(row.degeneracy),
-        ]
-        for row in rows
-    ]
-    return headers, cells
+def cells(cls, rows) -> tuple[list[str], list[list[str]]]:
+    """Headers and string cells of dataclass rows, one column per field of cls.
+
+    Columns follow the field order, and a field's header is its name unless
+    its metadata names another.  A cell is "" for None, true or false for a
+    bool and str() of any other value.
+    """
+    names = [f.name for f in fields(cls)]
+    headers = [f.metadata.get("header", f.name) for f in fields(cls)]
+    return headers, [[_cell(getattr(row, name)) for name in names] for row in rows]
 
 
 def scan_cells(rows: list[ferus.ScanRow]):
-    headers = ["pair", "p", "n", "orbit", "degenerate", "l", "r", "F(l)", "equality"]
-    cells = [
-        [
-            row.pair,
-            "" if row.p is None else str(row.p),
-            "" if row.n is None else str(row.n),
-            row.orbit,
-            str(row.degenerate).lower(),
-            str(row.l),
-            str(row.r),
-            str(row.ferus_l),
-            str(row.equality).lower(),
-        ]
-        for row in rows
-    ]
-    return headers, cells
+    return cells(ferus.ScanRow, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +290,9 @@ def to_json(value):
     if is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, RootVec):
-        return [rational_str(c) for c in value.coords]
+        return [str(c) for c in value.coords]
     if isinstance(value, Fraction):
-        return rational_str(value)
+        return str(value)
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     return value

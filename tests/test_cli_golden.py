@@ -21,6 +21,8 @@ SO_XI = (
     "--p", "2", "--n", "3", "--root", "1,1", "--xi", "1,-1",
 )
 BC = ("classify", "--pair", "sp(2p+n)|sp(p)+sp(p+n)", "--p", "3", "--n", "2")
+TABLE1_SMALL = ("table1", "--p-range", "2:3", "--n-range", "1:2")
+SCAN_TINY = ("ferus", "--scan", "--p-range", "2:3", "--n-range", "0:1")
 CASES = {
     "classify_g2_short.md": G2_SHORT,
     "classify_g2_short.json": ("--format", "json", *G2_SHORT),
@@ -47,6 +49,19 @@ CASES = {
     "table1_grid.csv": (
         "--format", "csv", "table1", "--p-range", "2:6", "--n-range", "1:4",
     ),
+    # Every table kind and every record kind in each format it lacks above.
+    "table1.csv": ("--format", "csv", "table1"),
+    "table1.json": ("--format", "json", "table1"),
+    "table1_small.md": TABLE1_SMALL,
+    "table1_small.json": ("--format", "json", *TABLE1_SMALL),
+    "ferus_scan_tiny.md": SCAN_TINY,
+    "ferus_scan_tiny.json": ("--format", "json", *SCAN_TINY),
+    "ferus_57.csv": ("--format", "csv", "ferus", "--l", "57"),
+    "classify_so_xi.csv": ("--format", "csv", *SO_XI),
+    "appendix_g2.csv": ("--format", "csv", "appendix", "--algebra", "g2"),
+    "pairs_list.md": ("pairs", "list"),
+    "pairs_list.csv": ("--format", "csv", "pairs", "list"),
+    "pairs_list.json": ("--format", "json", "pairs", "list"),
 }
 
 

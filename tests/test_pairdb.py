@@ -275,13 +275,13 @@ def test_one_line_mutations_load_or_raise_pairs_format_error(text):
 
 class TestExpressions:
     def test_eval(self):
-        assert pairdb.eval_expr("4p+2n-7", p=3, n=2) == 9
-        assert pairdb.eval_expr("p*(p+3)/2", p=4) == 14
-        assert pairdb.eval_expr("-3+5") == 2
+        assert pairdb.compile_expr("4p+2n-7")(3, 2) == 9
+        assert pairdb.compile_expr("p*(p+3)/2")(4) == 14
+        assert pairdb.compile_expr("-3+5")() == 2
 
     def test_non_integer(self):
         with pytest.raises(ValueError, match="not integral"):
-            pairdb.eval_expr("p/2", p=3)
+            pairdb.compile_expr("p/2")(3)
 
     @pytest.mark.parametrize(
         "text",
@@ -295,18 +295,18 @@ class TestExpressions:
     )
     def test_hostile_input_is_value_error(self, text):
         with pytest.raises(ValueError, match="divides by zero|nested too deeply") as info:
-            pairdb.eval_expr(text, p=3)
+            pairdb.compile_expr(text)(3)
         assert len(str(info.value)) < 120
 
     def test_missing_value(self):
         with pytest.raises(ValueError, match="needs a value"):
-            pairdb.eval_expr("p+1")
+            pairdb.compile_expr("p+1")()
 
     def test_rejects_weird_input(self):
         with pytest.raises(ValueError):
-            pairdb.eval_expr("__import__('os')")
+            pairdb.compile_expr("__import__('os')")()
         with pytest.raises(ValueError):
-            pairdb.eval_expr("p**2", p=2)
+            pairdb.compile_expr("p**2")(2)
 
     def test_render_name(self):
         assert pairdb.compile_name("su(2p+n)")(p=2, n=3) == "su(7)"

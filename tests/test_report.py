@@ -9,9 +9,11 @@ from importlib import resources
 import pytest
 
 from gaussorbits import cayley, ferus, orbits, pairdb, report, rootsys
+from gaussorbits.cli import main
 from reference import rootvec
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
+EXPECTED = resources.files("gaussorbits").joinpath("data/table1.expected").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +55,8 @@ class TestAffineRendering:
         assert report._render_affine(*coeffs) == want
 
     def test_formula_evaluation(self):
-        assert pairdb.eval_expr("4p+2n-7", p=3, n=2) == 9
-        assert pairdb.eval_expr("24") == 24
+        assert pairdb.compile_expr("4p+2n-7")(3, 2) == 9
+        assert pairdb.compile_expr("24")() == 24
 
 
 class TestTable1:
@@ -88,12 +90,58 @@ class TestTable1:
                 rstype="A", rank="p", g="x", k="y", l="2p-1", r="2p-2", degeneracy=3
             )
 
+    @staticmethod
+    def serve_expected(monkeypatch, tmp_path, text):
+        # Package files from tmp_path: the given table1.expected, the real pairs.dat.
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "table1.expected").write_text(text)
+        (tmp_path / "data" / "pairs.dat").write_text(PAIRS_DAT)
+        monkeypatch.setattr(report.resources, "files", lambda package: tmp_path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["type,rank,g,k,r,l,l-r", "rstype,rank,g,k,l,r,degeneracy", "type,rank,g,k,l,r"],
+        ids=["swapped", "field-names", "short"],
+    )
+    def test_expected_with_another_header_is_refused(
+        self, monkeypatch, tmp_path, header, capsys
+    ):
+        body = EXPECTED.split("\n", 1)[1]
+        self.serve_expected(monkeypatch, tmp_path, f"{header}\n{body}")
+        with pytest.raises(ValueError, match="table1.expected has header"):
+            report.load_expected()
+        assert main(["table1", "--check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: table1.expected has header") and err.count("\n") == 1
+
+    def test_expected_is_read_through_the_table_header(self, monkeypatch, tmp_path):
+        # The control for the refusals above: the same fixture, the real file.
+        self.serve_expected(monkeypatch, tmp_path, EXPECTED)
+        rows = report.load_expected()
+        assert report.render_table(*report.cells(report.Table1Row, rows), "csv") == EXPECTED
+
+
+class TestCells:
+    @dataclasses.dataclass(frozen=True)
+    class Row:
+        name: str
+        count: int = dataclasses.field(metadata={"header": "#"})
+        flag: bool | None = None
+
+    def test_headers_and_cells_follow_the_fields(self):
+        rows = [self.Row("a", 0, True), self.Row("b", -3, False), self.Row("c", 7)]
+        assert report.cells(self.Row, rows) == (
+            ["name", "#", "flag"],
+            [["a", "0", "true"], ["b", "-3", "false"], ["c", "7", ""]],
+        )
+        assert report.cells(self.Row, []) == (["name", "#", "flag"], [])
+
 
 class TestRendering:
     def test_formats_carry_identical_values(self, db):
         scan = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 1))
         for headers, cells in (
-            report.table1_cells(report.table1_rows(db)),
+            report.cells(report.Table1Row, report.table1_rows(db)),
             report.scan_cells(scan),  # every pair cell holds a "|"
         ):
             md = parse_rendered(report.render_table(headers, cells, "md"), "md")
@@ -115,10 +163,10 @@ class TestRendering:
 
 class TestRationalStrings:
     def test_lowest_terms(self):
-        assert report.rational_str(Fraction(2, 4)) == "1/2"
-        assert report.rational_str(Fraction(6, 3)) == "2"
-        assert report.rational_str(Fraction(-1, 2)) == "-1/2"
-        assert pairdb.eval_expr("-7/3*3") == -7
+        assert report.to_json(Fraction(2, 4)) == "1/2"
+        assert report.to_json(Fraction(6, 3)) == "2"
+        assert report.to_json(Fraction(-1, 2)) == "-1/2"
+        assert pairdb.compile_expr("-7/3*3")() == -7
 
 
 class TestJsonRoundTrips:
@@ -147,7 +195,7 @@ class TestJsonRoundTrips:
     def test_spectrum(self, db):
         pair = db.get("so(2p+n)|so(p)+so(p+n)").instantiate(p=2, n=3)
         spec = orbits.principal_curvatures(pair, rootvec(1, 1), rootvec(1, -1))
-        assert self.encode(spec) == {"entries": [["-1", 3], ["0", 1], ["1", 3]]}
+        assert self.encode(spec) == [["-1", 3], ["0", 1], ["1", 3]]
 
     def test_certificate(self):
         assert self.encode(ferus.ferus(57)) == {
