@@ -8,22 +8,18 @@ everything not strongly orthogonal to it) produces pairwise strongly
 orthogonal roots gamma_1..gamma_s whose span plays the role of a maximal
 abelian subspace.  Orthogonal projection onto that span,
 
-    alpha  |->  ( <alpha, gamma_i> / |gamma_i|^2 )_i,
+    alpha  |->  sum_i ( <alpha, gamma_i> / |gamma_i|^2 ) gamma_i,
 
 sends R onto a (generally smaller) root system together with
 multiplicities given by preimage counts.  Everything here works at the
 level of roots; no Lie-algebra vectors or structure constants appear.
-
-Projected vectors are coefficient tuples against the orthogonal basis
-lambda_1..lambda_s with |lambda_i|^2 = |gamma_i|^2; inner products in the
-projected space use those squared lengths, so they stay exact even when
-the gamma_i have different lengths (the G2 case).
+The projected roots are `RootVec`s of the ambient space, so lengths,
+pairings and reflections are those of `rootsys`.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -34,11 +30,11 @@ from .rootsys import (
     RootSystem,
     RootSystemType,
     RootVec,
+    _dot_sign_num,
     inner,
+    is_orthogonal,
     norm_sq,
 )
-
-Projected = tuple[Fraction, ...]
 
 
 def m_roots(system: RootSystem) -> tuple[RootVec, ...]:
@@ -46,6 +42,12 @@ def m_roots(system: RootSystem) -> tuple[RootVec, ...]:
     delta = system.highest_root
     top = norm_sq(delta)
     return tuple(v for v in system.positive_roots if 2 * inner(v, delta) == top)
+
+
+def _strongly_orthogonal_to(system: RootSystem, beta: RootVec, gamma: RootVec) -> bool:
+    # For positive roots beta and gamma: neither beta + gamma nor beta - gamma
+    # is a root.
+    return not system.contains_positive(beta + gamma) and not system.contains(beta - gamma)
 
 
 def strongly_orthogonal(Q, system: RootSystem) -> tuple[RootVec, ...]:
@@ -62,22 +64,22 @@ def strongly_orthogonal(Q, system: RootSystem) -> tuple[RootVec, ...]:
         gamma = min(remaining, key=system.sort_key)
         gammas.append(gamma)
         remaining = [
-            b
-            for b in remaining
-            if b != gamma
-            and not system.contains_positive(b + gamma)
-            and not system.contains(b - gamma)
+            b for b in remaining if b != gamma and _strongly_orthogonal_to(system, b, gamma)
         ]
     return tuple(gammas)
 
 
-def project(alpha: RootVec, gammas) -> Projected:
-    """Coefficients of the orthogonal projection of alpha onto span(gammas)."""
-    return tuple(inner(alpha, g) / norm_sq(g) for g in gammas)
-
-
-def projected_inner(a: Projected, b: Projected, gamma_norms) -> Fraction:
-    return sum(x * y * n for x, y, n in zip(a, b, gamma_norms))
+def project(alpha: RootVec, gammas) -> RootVec:
+    """The orthogonal projection of alpha onto span(gammas)."""
+    # With alpha = A / a and gamma_i = G_i / g_i the g_i drop out: the image
+    # is sum_i (A.G_i) (L / G_i.G_i) G_i / (a L), L = lcm of the G_i.G_i.
+    norms = [_dot_sign_num(g, g) for g in gammas]
+    big = lcm(*norms)
+    num = [0] * alpha.dim
+    for g, n in zip(gammas, norms):
+        c = _dot_sign_num(alpha, g) * (big // n)
+        num = [x + c * y for x, y in zip(num, g._num)]
+    return RootVec._raw(tuple(num), alpha._den * big)
 
 
 @dataclass(frozen=True)
@@ -87,44 +89,33 @@ class ProjectionDatum:
     ambient: RootSystem
     m_plus: tuple[RootVec, ...]
     gammas: tuple[RootVec, ...]
-    gamma_norms: tuple[Fraction, ...]
-    preimages: dict[Projected, frozenset[RootVec]] = field(compare=False)
+    preimages: dict[RootVec, frozenset[RootVec]] = field(compare=False)
     length_labels: dict[Fraction, str] = field(compare=False)
     projected_type: RootSystemType = field(compare=False)
 
-    def preimage(self, value: Projected) -> frozenset[RootVec]:
+    def preimage(self, value: RootVec) -> frozenset[RootVec]:
         if value not in self.preimages:
             raise ValueError(f"{value!r} is not a projected root")
         return self.preimages[value]
 
-    def projected_class(self, value: Projected) -> str:
-        return self.length_labels[projected_inner(value, value, self.gamma_norms)]
+    def projected_class(self, value: RootVec) -> str:
+        return self.length_labels[norm_sq(value)]
 
 
-def _identify_type(values: set[Projected], gamma_norms) -> RootSystemType:
-    # Extract simple roots of the projected set under coefficient-lex
-    # positivity, then match the Cartan matrix against built systems of
-    # the same rank up to a permutation of the simple roots.
-    zero = tuple([Fraction(0)] * len(gamma_norms))
-    positive = sorted(v for v in values if v > zero)
+def _identify_type(values: set[RootVec], system: RootSystem) -> RootSystemType:
+    # Extract simple roots of the projected set under the lex positivity of
+    # the ambient system, then match the Cartan matrix against built systems
+    # of the same rank up to a permutation of the simple roots.
+    positive = [v for v in values if system.sort_key(v) > system.sort_key(-v)]
     pos_set = set(positive)
-
-    def sub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
     # v is the sum of two positives p, q exactly when some v - p is positive.
-    simples = [
-        v for v in positive if not any(sub(v, p) in pos_set for p in positive)
-    ]
+    simples = [v for v in positive if not any(v - p in pos_set for p in positive)]
     rank = len(simples)
 
-    def cartan(basis, ip):
-        return [
-            [2 * ip(a, b) / ip(b, b) for b in basis]
-            for a in basis
-        ]
+    def cartan(basis):
+        return [[2 * inner(a, b) / inner(b, b) for b in basis] for a in basis]
 
-    got = cartan(simples, lambda a, b: projected_inner(a, b, gamma_norms))
+    got = cartan(simples)
     for family in rootsys.FAMILIES:
         try:
             sys2 = rootsys.build(family, rank)
@@ -132,7 +123,7 @@ def _identify_type(values: set[Projected], gamma_norms) -> RootSystemType:
             continue
         if len(sys2.positive_roots) != len(positive):
             continue
-        want = cartan(sys2.simple_roots, inner)
+        want = cartan(sys2.simple_roots)
         for perm in itertools.permutations(range(rank)):
             if all(
                 got[perm[i]][perm[j]] == want[i][j]
@@ -151,39 +142,25 @@ def restricted_from_projection(system: RootSystem) -> ProjectionDatum:
     """
     mp = m_roots(system)
     gammas = strongly_orthogonal(mp, system)
-    gamma_norms = tuple(norm_sq(g) for g in gammas)
-    all_roots = list(system.positive_roots) + [-v for v in system.positive_roots]
-    zero = tuple([Fraction(0)] * len(gammas))
-
-    preimages: dict[Projected, set[RootVec]] = {}
-    for alpha in all_roots:
+    preimages: dict[RootVec, set[RootVec]] = {}
+    for alpha in system.positive_roots + tuple(-v for v in system.positive_roots):
         val = project(alpha, gammas)
-        if val == zero:
-            continue
-        preimages.setdefault(val, set()).add(alpha)
+        if not val.is_zero():
+            preimages.setdefault(val, set()).add(alpha)
 
-    values = set(preimages)
-    # The axioms in integers: each value scaled by the common denominator
-    # of all coefficients, each gamma norm by that of the norms, so the
-    # pairing 2<y,x>/<x,x> is a quotient of integer sums.
-    den = lcm(*(c.denominator for v in values for c in v))
-    norm_den = lcm(*(n.denominator for n in gamma_norms))
-    norms = [int(n * norm_den) for n in gamma_norms]
-    scaled = [(v, tuple(int(c * den) for c in v)) for v in values]
-    members = {vs for _, vs in scaled}
-    for x, xs in scaled:
-        weighted = list(map(operator.mul, xs, norms))
-        nx = sum(map(operator.mul, xs, weighted))
-        for y, ys in scaled:
-            pairing = 2 * sum(map(operator.mul, ys, weighted))
-            c, rest = divmod(pairing, nx)
-            if rest:
+    # The axioms in integers: with x = X / a and y = Y / b the pairing
+    # 2<y, x>/<x, x> is 2 (Y.X) a / (b X.X).
+    for x in preimages:
+        nx = _dot_sign_num(x, x)
+        for y in preimages:
+            pairing, den = 2 * _dot_sign_num(y, x) * x._den, y._den * nx
+            if pairing % den:
                 raise InvariantViolation(
                     f"projected set of {system.rstype.label()} is not "
                     f"crystallographic: pairing of {y} against {x} is "
-                    f"{Fraction(pairing, nx)}"
+                    f"{Fraction(pairing, den)}"
                 )
-            if tuple(b - c * a for a, b in zip(xs, ys)) not in members:
+            if rootsys.reflect(y, x) not in preimages:
                 raise InvariantViolation(
                     f"projected set of {system.rstype.label()} is not closed under "
                     f"reflection: s_{x}({y}) missing"
@@ -193,12 +170,9 @@ def restricted_from_projection(system: RootSystem) -> ProjectionDatum:
         ambient=system,
         m_plus=mp,
         gammas=gammas,
-        gamma_norms=gamma_norms,
         preimages={v: frozenset(p) for v, p in preimages.items()},
-        length_labels=rootsys.length_labels(
-            projected_inner(v, v, gamma_norms) for v in values
-        ),
-        projected_type=_identify_type(values, gamma_norms),
+        length_labels=rootsys.length_labels(map(norm_sq, preimages)),
+        projected_type=_identify_type(set(preimages), system),
     )
 
 
@@ -221,28 +195,23 @@ def maximal_abelian_ok(datum: ProjectionDatum) -> bool:
     for beta in datum.m_plus:
         if beta in chosen:
             continue
-        if all(
-            not system.contains_positive(beta + g) and not system.contains(beta - g)
-            for g in datum.gammas
-        ):
+        if all(_strongly_orthogonal_to(system, beta, g) for g in datum.gammas):
             return False
     return True
 
 
 def projection_contracts(datum: ProjectionDatum) -> bool:
-    """|pi(alpha)|^2 <= |alpha|^2, equality exactly on span(gamma_1..gamma_s)."""
-    system = datum.ambient
-    for alpha in system.positive_roots:
-        coeffs = project(alpha, datum.gammas)
-        pnorm = projected_inner(coeffs, coeffs, datum.gamma_norms)
-        anorm = norm_sq(alpha)
-        if pnorm > anorm:
-            return False
-        recon = alpha
-        for c, g in zip(coeffs, datum.gammas):
-            recon = recon - c * g
-        if (pnorm == anorm) != recon.is_zero():
-            return False
+    """|pi(alpha)|^2 <= |alpha|^2, equality exactly on span(gamma_1..gamma_s).
+
+    A root with pi(alpha) = 0 meets both trivially, so the preimages of the
+    nonzero projected roots are all that is read.
+    """
+    for value, pre in datum.preimages.items():
+        pnorm = norm_sq(value)
+        for alpha in pre:
+            anorm = norm_sq(alpha)
+            if pnorm > anorm or (pnorm == anorm) != (value == alpha):
+                return False
     return True
 
 
@@ -310,20 +279,17 @@ def verify_appendix(system: RootSystem) -> AppendixVerification:
     named = SHORT_ROOT_CHECKS.get(label)
     cards = orth = identities = None
     if named is not None:
-        lam_rep = system.simple_combination(named[0])
-        nu_rep = system.simple_combination(named[1])
-        lam = project(lam_rep, datum.gammas)
-        nu = project(nu_rep, datum.gammas)
-        pre_lam = datum.preimage(lam)
-        pre_nu = datum.preimage(nu)
+        image = {a: v for v, pre in datum.preimages.items() for a in pre}
+        lam, nu = (image[system.simple_combination(c)] for c in named)
+        pre_lam, pre_nu = datum.preimage(lam), datum.preimage(nu)
         cards = (len(pre_lam), len(pre_nu))
-        orth = projected_inner(lam, nu, datum.gamma_norms) == 0
+        orth = is_orthogonal(lam, nu)
         identities = rootset_identities(system, pre_nu, pre_lam).ok
     return AppendixVerification(
         algebra=label,
         gammas=datum.gammas,
         gamma_count_ok=len(datum.gammas) == EXPECTED_GAMMA_COUNT[label],
-        equal_gamma_lengths=len(set(datum.gamma_norms)) == 1,
+        equal_gamma_lengths=len(set(map(norm_sq, datum.gammas))) == 1,
         projected_type=datum.projected_type.label(),
         projected_type_ok=(
             datum.projected_type.label() == EXPECTED_PROJECTED_TYPE[label]
@@ -341,10 +307,9 @@ def verify_appendix(system: RootSystem) -> AppendixVerification:
 
 @dataclass(frozen=True)
 class IdentityStep:
-    """One elimination step: base root, allowed set, and the +- witnesses."""
+    """One elimination step: base root and the +- witnesses."""
 
     base: RootVec
-    excluded: frozenset[RootVec]
     plus_witnesses: frozenset[RootVec]
     minus_witnesses: frozenset[RootVec]
 
@@ -383,22 +348,13 @@ def rootset_identities(
         raise ValueError("explicit bases must come from the nu-preimage")
     remaining = set(lam_preimage)
     steps: list[IdentityStep] = []
-    excluded: set[RootVec] = set()
     for base in bases:
         if not remaining:
             break
         plus = frozenset(a for a in remaining if system.contains(base + a))
         minus = frozenset(a for a in remaining if system.contains(base - a))
-        steps.append(
-            IdentityStep(
-                base=base,
-                excluded=frozenset(excluded),
-                plus_witnesses=plus,
-                minus_witnesses=minus,
-            )
-        )
+        steps.append(IdentityStep(base=base, plus_witnesses=plus, minus_witnesses=minus))
         if len(plus) != 1 or len(minus) != 1:
             return IdentityReport(steps=tuple(steps), exhausted=False)
-        excluded |= plus | minus
         remaining -= plus | minus
     return IdentityReport(steps=tuple(steps), exhausted=not remaining)

@@ -225,8 +225,8 @@ def pairs_list_cmd(ctx):
                 fam.key,
                 fam.family,
                 fam.rank_expr,
-                f"{fam.p_min}:{fam.p_max or '*'}" if fam.uses_p else "-",
-                f"{fam.n_min}:{fam.n_max or '*'}" if fam.uses_n else "-",
+                f"{fam.p_min}:{pairdb.bound_text(fam.p_max)}" if fam.uses_p else "-",
+                f"{fam.n_min}:{pairdb.bound_text(fam.n_max)}" if fam.uses_n else "-",
                 ",".join(sorted(fam.flags)) or "-",
             ]
         )

@@ -143,7 +143,6 @@ class Pair:
     k_name: str
     rstype: RootSystemType
     mult_by_class: tuple[tuple[str, int], ...]  # in rootsys.CLASSES order
-    flags: frozenset[str]
     dim_m: int
     p: int | None = None
     n: int | None = None
@@ -160,6 +159,11 @@ class Pair:
                   f"n={self.n}" if self.n is not None else ""]
         params = ",".join(x for x in params if x)
         return f"{self.key}" + (f" [{params}]" if params else "")
+
+
+def bound_text(bound: int | None) -> str:
+    """An upper parameter bound as pairs.dat writes it: "*" for none."""
+    return "*" if bound is None else str(bound)
 
 
 # Most n values one instantiations() call walks.  n does not enter the
@@ -210,14 +214,16 @@ class PairFamily:
             if p is None:
                 raise ValueError(f"{self.key}: parameter p is required")
             if p < self.p_min or (self.p_max is not None and p > self.p_max):
-                raise ValueError(f"{self.key}: p={p} outside [{self.p_min}, {self.p_max or '*'}]")
+                hi = bound_text(self.p_max)
+                raise ValueError(f"{self.key}: p={p} outside [{self.p_min}, {hi}]")
         else:
             p = None
         if self.uses_n:
             if n is None:
                 raise ValueError(f"{self.key}: parameter n is required")
             if n < self.n_min or (self.n_max is not None and n > self.n_max):
-                raise ValueError(f"{self.key}: n={n} outside [{self.n_min}, {self.n_max or '*'}]")
+                hi = bound_text(self.n_max)
+                raise ValueError(f"{self.key}: n={n} outside [{self.n_min}, {hi}]")
         else:
             n = None
 
@@ -242,7 +248,6 @@ class PairFamily:
             k_name=self._k_name(p, n),
             rstype=rstype,
             mult_by_class=tuple((tag, by_class[tag]) for tag, _, _ in classes),
-            flags=self.flags,
             dim_m=dim_m,
             p=p,
             n=n,

@@ -108,7 +108,7 @@ def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
         rows.append(
             Table1Row(
                 rstype=family.family,
-                rank="p" if family.rank_expr == "p" else family.rank_expr,
+                rank=family.rank_expr,
                 g=family.g_name,
                 k=family.k_name,
                 l=l,

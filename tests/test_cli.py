@@ -326,6 +326,31 @@ class TestPairsCommand:
         assert code == 0
         assert "g2\\|so(4)" in out
 
+    def test_zero_upper_bound_is_shown_as_zero(self, run, tmp_path):
+        # "*" stands for no upper bound; a bound of 0 is a bound.
+        path = tmp_path / "pairs.dat"
+        path.write_text(
+            "pair so(2p+n)|so(p)+so(p+n)\n"
+            "  g so(2p+n)\n"
+            "  k so(p)+so(p+n)\n"
+            "  type B p\n"
+            "  params p 2 *\n"
+            "  params n 0 0\n"
+            "  mult e_i n+1\n"
+            "  mult e_i+-e_j 1\n"
+            "  dim_m p*(p+n+1)\n"
+            "end\n"
+        )
+        code, out, _ = run("--pairs", str(path), "--format", "csv", "pairs", "list")
+        assert code == 0
+        assert out.splitlines()[1] == "so(2p+n)|so(p)+so(p+n),B,p,2:*,0:0,-"
+        code, out, err = run(
+            "--pairs", str(path), "classify", "--pair", "so(2p+n)|so(p)+so(p+n)",
+            "--p", "2", "--n", "3", "--root", "highest",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: so(2p+n)|so(p)+so(p+n): n=3 outside [0, 0]\n"
+
 
 class TestPlumbing:
     def test_help(self, run):

@@ -86,13 +86,51 @@ def _public_definitions(tree):
                     yield target.id, node
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    users = MODULES + sorted((ROOT / "bench").glob("*.py"))
-    total = sum((_references(ast.parse(p.read_text())) for p in users), Counter())
+def _defined_names(tree):
+    # Every function and class a tree defines, and every name it assigns at
+    # module level.
+    names = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _unused(modules, bench):
+    """Public names of `modules` ({file name: source}) that neither another
+    module nor a `bench` source reads.  A bench file's reference to a name
+    it defines itself is its own, so it is not counted."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    for text in bench:
+        tree = ast.parse(text)
+        refs = _references(tree)
+        for name in _defined_names(tree):
+            del refs[name]
+        total += refs
     unused = []
-    for path in MODULES:
-        for name, node in _public_definitions(ast.parse(path.read_text())):
+    for file_name, tree in trees.items():
+        for name, node in _public_definitions(tree):
             short = name.rsplit(".", 1)[-1]
             if total[short] <= _references(node)[short]:
-                unused.append(f"{path.name}: {name}")
-    assert unused == []
+                unused.append(f"{file_name}: {name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = {path.name: path.read_text() for path in MODULES}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert _unused(modules, bench) == []
+
+
+def test_a_bench_definition_does_not_mask_a_package_name():
+    modules = {"pairdb.py": "def eval_expr(text):\n    return text\n"}
+    called = "from gaussorbits import pairdb\npairdb.eval_expr('1')\n"
+    shadowed = "def eval_expr(text):\n    return text\n\neval_expr('1')\n"
+    assert _unused(modules, [called]) == []
+    assert _unused(modules, [shadowed]) == ["pairdb.py: eval_expr"]
