@@ -176,9 +176,9 @@ def restricted_from_projection(system: RootSystem) -> ProjectionDatum:
     )
 
 
-def sum_lands_on_delta(system: RootSystem) -> bool:
+def sum_lands_on_delta(datum: ProjectionDatum) -> bool:
     """When two ratio-1/2 roots sum to a root, that root is the highest one."""
-    mp = m_roots(system)
+    system, mp = datum.ambient, datum.m_plus
     delta = system.highest_root
     for i, a in enumerate(mp):
         for b in mp[i:]:
@@ -298,7 +298,7 @@ def verify_appendix(system: RootSystem) -> AppendixVerification:
         preimage_cardinalities=cards,
         nu_orthogonal_to_lam=orth,
         identities_ok=identities,
-        sum_to_delta_ok=sum_lands_on_delta(system),
+        sum_to_delta_ok=sum_lands_on_delta(datum),
         maximal_abelian=maximal_abelian_ok(datum),
         contraction_ok=projection_contracts(datum),
         m_plus_even=len(datum.m_plus) % 2 == 0,

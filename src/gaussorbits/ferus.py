@@ -114,27 +114,25 @@ def equality_scan(
     non-degenerate rows always carry equality=False.
     """
     rows: list[ScanRow] = []
-    memo: dict = {}  # the pair-free orbit facts, shared by every n
     ferus_of: dict[int, int] = {}
-    for family in db:
-        for pair in family.instantiations(p_range=p_range, n_range=n_range):
-            for orbit_spec in _SCAN_ORBITS[pair.rstype.family]:
-                H = orbits.resolve_orbit(pair, orbit_spec)
-                report = orbits.classify(pair, H, memo)
-                f = ferus_of.get(report.l)
-                if f is None:
-                    f = ferus_of[report.l] = ferus(report.l).F
-                rows.append(
-                    ScanRow(
-                        pair=pair.key,
-                        p=pair.p,
-                        n=pair.n,
-                        orbit=orbit_spec,
-                        degenerate=report.degenerate,
-                        l=report.l,
-                        r=report.r,
-                        ferus_l=f,
-                        equality=report.degenerate and f == report.r,
-                    )
-                )
+    scan = orbits.sweep(
+        db.instantiations(p_range, n_range), lambda pair: _SCAN_ORBITS[pair.rstype.family]
+    )
+    for pair, orbit_spec, report in scan:
+        f = ferus_of.get(report.l)
+        if f is None:
+            f = ferus_of[report.l] = ferus(report.l).F
+        rows.append(
+            ScanRow(
+                pair=pair.key,
+                p=pair.p,
+                n=pair.n,
+                orbit=orbit_spec,
+                degenerate=report.degenerate,
+                l=report.l,
+                r=report.r,
+                ferus_l=f,
+                equality=report.degenerate and f == report.r,
+            )
+        )
     return rows

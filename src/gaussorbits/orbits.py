@@ -216,10 +216,8 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     rescaled to the primitive integer vector on its ray, so reports of
     Weyl-equivalent and positively proportional inputs compare equal.
 
-    A caller that classifies the same (system, folded H) for many pairs
-    may pass one dict as memo to all those calls; it then holds the
-    pair-free facts of each orbit, and the pass over the roots runs once
-    per key.  Everything that depends on the pair is computed per call.
+    A memo, one dict that `sweep` passes to all its calls, holds the
+    pair-free facts by (system, folded ray); the rest is computed per call.
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
@@ -268,6 +266,17 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
         root_class=root_class,
         satisfies_ab=ab,
     )
+
+
+def sweep(pairs, specs=lambda pair: ("highest",)):
+    """(pair, spec, report) for each pair and each orbit spec specs(pair) names.
+
+    One memo serves the sweep, so each (system, folded ray) is profiled once.
+    """
+    memo: dict = {}
+    for pair in pairs:
+        for spec in specs(pair):
+            yield pair, spec, classify(pair, resolve_orbit(pair, spec), memo)
 
 
 def principal_curvatures(

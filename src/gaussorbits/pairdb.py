@@ -306,6 +306,11 @@ class PairDatabase:
     def __len__(self):
         return len(self.families)
 
+    def instantiations(self, p_range, n_range):
+        """Every family's instantiations over the grid, in database order."""
+        for family in self.families:
+            yield from family.instantiations(p_range=p_range, n_range=n_range)
+
     def get(self, key: str) -> PairFamily:
         norm = normalize_key(key)
         if norm not in self._index:

@@ -17,6 +17,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import groupby
 
 from . import ferus, orbits, pairdb
 from .rootsys import RootVec
@@ -65,27 +66,13 @@ class Table1Row:
                 raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
 
 
-def _classified_lr(family: pairdb.PairFamily, p: int | None, n: int | None, memo: dict):
-    pair = family.instantiate(p=p, n=n)
-    report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
-    return report.l, report.r
+def _affine_fit(family: pairdb.PairFamily, lr: dict) -> Table1Row:
+    """The row of `family`, with (l, r) formulas fitted and checked on lr[p, n].
 
-
-def _affine_fit(family: pairdb.PairFamily, memo: dict) -> tuple[str, str, int]:
-    """Affine formulas for (l, r), fitted and checked on one set of points.
-
-    The third entry is l - r at the first point, the degeneracy that
-    Table1Row checks to be constant.
+    The first point of lr is the base point of the fit; l - r there is the
+    degeneracy that Table1Row checks to be constant.
     """
-    p0 = family.p_min if family.uses_p else None
-    n0 = family.n_min if family.uses_n else None
-    lr = {}
-    for dp, dn in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 3), (3, 2)):
-        if (dp and not family.uses_p) or (dn and not family.uses_n):
-            continue
-        p = p0 + dp if family.uses_p else None
-        n = n0 + dn if family.uses_n else None
-        lr[p, n] = _classified_lr(family, p, n, memo)
+    p0, n0 = next(iter(lr))
     formulas = []
     for component in (0, 1):
         base = lr[p0, n0][component]
@@ -96,27 +83,33 @@ def _affine_fit(family: pairdb.PairFamily, memo: dict) -> tuple[str, str, int]:
             raise VerificationFailure(f"{family.key}: table value is not affine in (p, n)")
         formulas.append(_render_affine(a, b, c))
     l, r = lr[p0, n0]
-    return formulas[0], formulas[1], l - r
+    return Table1Row(
+        rstype=family.family,
+        rank=family.rank_expr,
+        g=family.g_name,
+        k=family.k_name,
+        l=formulas[0],
+        r=formulas[1],
+        degeneracy=l - r,
+    )
 
 
 def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
     """Symbolic classification table, one row per database family."""
-    rows = []
-    memo: dict = {}
-    for family in db:
-        l, r, deg = _affine_fit(family, memo)
-        rows.append(
-            Table1Row(
-                rstype=family.family,
-                rank=family.rank_expr,
-                g=family.g_name,
-                k=family.k_name,
-                l=l,
-                r=r,
-                degeneracy=deg,
-            )
-        )
-    return rows
+    # Each family is fitted at (p_min + dp, n_min + dn) for the steps that
+    # move only parameters it uses; instantiate() ignores an unused p or n.
+    fits = orbits.sweep(
+        family.instantiate(p=(family.p_min or 0) + dp, n=(family.n_min or 0) + dn)
+        for family in db
+        for dp, dn in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 3), (3, 2))
+        if (family.uses_p or not dp) and (family.uses_n or not dn)
+    )
+    # Each family's points are one run of the sweep.
+    runs = groupby(fits, key=lambda fit: fit[0].key)
+    return [
+        _affine_fit(family, {(pair.p, pair.n): (rep.l, rep.r) for pair, _, rep in points})
+        for family, (_, points) in zip(db, runs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -137,24 +130,19 @@ def table1_instances(
     n_range: tuple[int, int],
 ) -> list[Table1Instance]:
     """Numeric table over a parameter grid (clipped to each row's bounds)."""
-    out = []
-    memo: dict = {}
-    for family in db:
-        for pair in family.instantiations(p_range=p_range, n_range=n_range):
-            report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
-            out.append(
-                Table1Instance(
-                    rstype=family.family,
-                    g=pair.g_name,
-                    k=pair.k_name,
-                    p=pair.p,
-                    n=pair.n,
-                    l=report.l,
-                    r=report.r,
-                    degeneracy=report.nullity,
-                )
-            )
-    return out
+    return [
+        Table1Instance(
+            rstype=pair.rstype.family,
+            g=pair.g_name,
+            k=pair.k_name,
+            p=pair.p,
+            n=pair.n,
+            l=rep.l,
+            r=rep.r,
+            degeneracy=rep.nullity,
+        )
+        for pair, _, rep in orbits.sweep(db.instantiations(p_range, n_range))
+    ]
 
 
 def load_expected() -> list[Table1Row]:
@@ -198,25 +186,23 @@ def check_table1(
         if exp != got:
             problems.append(f"symbolic row differs: computed {got} expected {exp}")
     by_gk = {(row.g, row.k): row for row in expected}
-    memo: dict = {}
-    for family in db:
-        exp = by_gk.get((family.g_name, family.k_name))
-        if exp is None:
-            continue
-        l_of, r_of = pairdb.compile_expr(exp.l), pairdb.compile_expr(exp.r)
-        for pair in family.instantiations(p_range=p_range, n_range=n_range):
-            report = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"), memo)
-            want_l, want_r = l_of(pair.p, pair.n), r_of(pair.p, pair.n)
-            if (report.l, report.r, report.nullity) != (
-                want_l,
-                want_r,
-                exp.degeneracy,
-            ):
-                problems.append(
-                    f"{pair.label()}: computed (l, r, l-r) = "
-                    f"({report.l}, {report.r}, {report.nullity}), expected "
-                    f"({want_l}, {want_r}, {exp.degeneracy})"
-                )
+    # Each checked family's expected row and formulas, compiled once; a
+    # family with no expected row is not instantiated.
+    formulas = {
+        family.key: (exp, pairdb.compile_expr(exp.l), pairdb.compile_expr(exp.r))
+        for family in db
+        if (exp := by_gk.get((family.g_name, family.k_name))) is not None
+    }
+    checked = pairdb.PairDatabase([family for family in db if family.key in formulas])
+    for pair, _, report in orbits.sweep(checked.instantiations(p_range, n_range)):
+        exp, l_of, r_of = formulas[pair.key]
+        want_l, want_r = l_of(pair.p, pair.n), r_of(pair.p, pair.n)
+        if (report.l, report.r, report.nullity) != (want_l, want_r, exp.degeneracy):
+            problems.append(
+                f"{pair.label()}: computed (l, r, l-r) = "
+                f"({report.l}, {report.r}, {report.nullity}), expected "
+                f"({want_l}, {want_r}, {exp.degeneracy})"
+            )
     return problems
 
 

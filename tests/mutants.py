@@ -1,0 +1,152 @@
+"""Mutation probe: each guard of the package and the test that must catch it.
+
+A mutant is a one-place edit of a `src/gaussorbits` file that disables a
+check or forces a verdict, listed with the test expected to fail under it.
+For each mutant the probe applies the edit to a temporary copy of `src/`
+and `tests/`, runs the killing test there with pytest, and reports the
+mutants whose test still passes.  It first runs every killing test on the
+unedited copy, where each must pass.  It writes nothing in the repository.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py 3 11       # the mutants with these indices
+    python tests/mutants.py --list     # index, file and killing test
+
+The exit status is 1 when a mutant survives or a killing test fails on
+the unedited copy.  The file name has no test_ prefix, so the test suite
+does not collect it; `test_hygiene.py` checks that each old text below
+still occurs exactly once in its file, and that each killing test exists.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+
+# (file under src/gaussorbits, old text, new text, killing test)
+MUTANTS = (
+    # rootsys._check_build
+    ("rootsys.py",
+     "if got != count(rank):",
+     "if False:",
+     "tests/test_rootsys.py::TestBuild::test_class_table_disagreement_is_invariant_violation"),
+    ("rootsys.py",
+     "if len(system._class_of) != len(system.positive_roots):",
+     "if False:",
+     "tests/test_rootsys.py::TestCheckBuild::test_duplicate_positive_roots"),
+    ("rootsys.py",
+     "if system.positive_roots[-1] != system.highest_root:",
+     "if False:",
+     "tests/test_rootsys.py::TestIntegerOrder::test_wrong_highest_root_is_invariant_violation"),
+    ("rootsys.py",
+     "if len(closure) > limit or pos != system._class_of.keys():",
+     "if False:",
+     "tests/test_rootsys.py::TestCheckBuild::test_reflection_closure_disagreement"),
+    # rootsys._heights, reached through _check_build
+    ("rootsys.py",
+     "            else:\n                raise InvariantViolation(\n"
+     "                    f\"{label}: positive root {beta!r} is no simple root plus a lower one\"\n"
+     "                )",
+     "            else:\n                continue",
+     "tests/test_rootsys.py::TestCheckBuild::test_simple_roots_that_are_no_base"),
+    # pairdb.PairFamily.instantiate
+    ("pairdb.py",
+     "            if m < 1:",
+     "            if False:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
+    ("pairdb.py",
+     'if "group_manifold" in self.flags and set(by_class.values()) != {2}:',
+     "if False:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
+    ("pairdb.py",
+     "if counted + rank != dim_m:",
+     "if False:",
+     "tests/test_pairdb.py::TestFileFormat::test_schema_violations"),
+    # orbits._orbit_facts
+    ("orbits.py",
+     "        if dot < 0:\n            raise ValueError(",
+     "        if False:\n            raise ValueError(",
+     "tests/test_orbits.py::TestWallCounts::test_a_point_outside_the_chamber"),
+    # report
+    ("report.py",
+     "            if got != self.degeneracy:",
+     "            if False:",
+     "tests/test_report.py::TestTable1::test_degeneracy_validation"),
+    ("report.py",
+     "if any(v[component] != a * (p or 0) + b * (n or 0) + c for (p, n), v in lr.items()):",
+     "if False:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_table_value_not_affine_in_p"),
+    # cayley
+    ("cayley.py",
+     "            if pairing % den:",
+     "            if False:",
+     "tests/test_cayley.py::TestProjectionAxioms::test_not_crystallographic"),
+    ("cayley.py",
+     "if rootsys.reflect(y, x) not in preimages:",
+     "if False:",
+     "tests/test_cayley.py::TestProjectionAxioms::test_not_closed"),
+    ("cayley.py",
+     "got[perm[i]][perm[j]] == want[i][j]",
+     "True",
+     "tests/test_cayley.py::TestVerifyAppendix::test_projection_needs_m_roots"),
+    ("cayley.py",
+     "if system.contains_positive(s) and s != delta:\n                return False",
+     "if system.contains_positive(s) and s != delta:\n                pass",
+     "tests/test_cayley.py::TestSumToDelta::test_adjacent_simple_roots_sum_below_delta"),
+    ("cayley.py",
+     "for g in datum.gammas):\n            return False",
+     "for g in datum.gammas):\n            pass",
+     "tests/test_cayley.py::TestStronglyOrthogonal::test_a_dropped_gamma_is_not_maximal"),
+    ("cayley.py",
+     "if pnorm > anorm or (pnorm == anorm) != (value == alpha):\n                return False",
+     "if pnorm > anorm or (pnorm == anorm) != (value == alpha):\n                pass",
+     "tests/test_cayley.py::TestProject::"
+     "test_a_value_longer_than_its_preimage_does_not_contract"),
+)
+
+
+def _run(copy: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+
+
+def main(argv) -> int:
+    if argv == ["--list"]:
+        for i, (name, _, _, test) in enumerate(MUTANTS):
+            print(f"{i:2d}  {name:11s} {test}")
+        return 0
+    chosen = [int(a) for a in argv] or range(len(MUTANTS))
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        tests = sorted({MUTANTS[i][3] for i in chosen})
+        baseline = _run(copy, tests)
+        if baseline.returncode:
+            print("a killing test fails on the unedited copy:\n" + baseline.stdout[-2000:])
+            return 1
+        for i in chosen:
+            name, old, new, test = MUTANTS[i]
+            path = copy / "src" / "gaussorbits" / name
+            text = path.read_text()
+            path.write_text(text.replace(old, new, 1))
+            try:
+                killed = _run(copy, [test]).returncode != 0
+            finally:
+                path.write_text(text)
+            failed |= not killed
+            print(f"{i:2d}  {'killed' if killed else 'SURVIVED'}  {name}: {old.strip()[:60]!r}")
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
@@ -78,6 +80,12 @@ class TestStronglyOrthogonal:
         for name in AMBIENTS:
             assert cayley.maximal_abelian_ok(data[name])
 
+    @pytest.mark.parametrize("name", AMBIENTS)
+    def test_a_dropped_gamma_is_not_maximal(self, data, name):
+        # The dropped gamma is in m_plus and strongly orthogonal to the rest.
+        datum = dataclasses.replace(data[name], gammas=data[name].gammas[:-1])
+        assert not cayley.maximal_abelian_ok(datum)
+
     def test_rejects_non_positive_input(self):
         b2 = rootsys.build("B", 2)
         with pytest.raises(ValueError):
@@ -119,6 +127,17 @@ class TestProject:
     def test_contraction(self, data):
         for name in AMBIENTS:
             assert cayley.projection_contracts(data[name])
+
+    @pytest.mark.parametrize("name", AMBIENTS)
+    def test_a_value_longer_than_its_preimage_does_not_contract(self, data, name):
+        # No projection lengthens a root: gamma as the preimage of 2 gamma
+        # fails, and so does -gamma as the preimage of gamma, which keeps the
+        # length without being the value itself.
+        datum = data[name]
+        gamma = datum.gammas[0]
+        for value, alpha in ((2 * gamma, gamma), (gamma, -gamma)):
+            edited = dataclasses.replace(datum, preimages={value: frozenset({alpha})})
+            assert not cayley.projection_contracts(edited), (value, alpha)
 
 
 class TestProjectedSystem:
@@ -194,8 +213,20 @@ class TestProjectedSystem:
 
 class TestSumToDelta:
     @pytest.mark.parametrize("name", AMBIENTS)
-    def test_exhaustive(self, name):
-        assert cayley.sum_lands_on_delta(rootsys.build(name))
+    def test_exhaustive(self, data, name):
+        assert cayley.sum_lands_on_delta(data[name])
+
+    @pytest.mark.parametrize("name", AMBIENTS)
+    def test_adjacent_simple_roots_sum_below_delta(self, data, name):
+        # Two simple roots joined in the Dynkin diagram sum to a positive
+        # root, and at rank >= 2 that root is not the highest one.
+        system = data[name].ambient
+        a, b = next(
+            (a, b) for a, b in itertools.combinations(system.simple_roots, 2)
+            if rootsys.inner(a, b) < 0
+        )
+        assert system.contains_positive(a + b) and a + b != system.highest_root
+        assert not cayley.sum_lands_on_delta(dataclasses.replace(data[name], m_plus=(a, b)))
 
 
 E6_LAM = [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)]

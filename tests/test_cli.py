@@ -312,6 +312,39 @@ class TestUserSuppliedDatabase:
         assert err.startswith("error: line 8: expression 'p+p+p")
         assert err.count("\n") == 1 and len(err) < 120
 
+    # One A_p family with multiplicity m; dim_m = p(p+1)/2 * m + p stays
+    # consistent with it.
+    A_FAMILY = (
+        "pair toy(p+1)|toy(p)\n"
+        "  g toy(p+1)\n"
+        "  k toy(p)\n"
+        "  type A p\n"
+        "  params p 2 *\n"
+        "  mult all {m}\n"
+        "{flags}"
+        "  dim_m p*(p+1)*({m})/2+p\n"
+        "end\n"
+    )
+
+    @pytest.mark.parametrize("m,flags,message", [
+        ("3", "  flags group_manifold\n", "group manifold with multiplicities != 2"),
+        ("p-2", "", "multiplicity of all is 0 < 1"),
+    ])
+    def test_instantiate_refuses_the_smallest_pair(self, run, tmp_path, m, flags, message):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m=m, flags=flags))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: toy(p+1)|toy(p): {message}\n"
+
+    def test_table_value_not_affine_in_p(self, run, tmp_path):
+        # m = p*p gives l = (2p - 1) p^2 at the highest root.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="p*p", flags=""))
+        code, out, err = run("--pairs", str(path), "table1")
+        assert (code, out) == (2, "")
+        assert err == "toy(p+1)|toy(p): table value is not affine in (p, n)\n"
+
 
 class TestPairsCommand:
     def test_list(self, run):

@@ -134,3 +134,39 @@ def test_a_bench_definition_does_not_mask_a_package_name():
     shadowed = "def eval_expr(text):\n    return text\n\neval_expr('1')\n"
     assert _unused(modules, [called]) == []
     assert _unused(modules, [shadowed]) == ["pairdb.py: eval_expr"]
+
+
+def test_only_the_sweep_passes_a_memo():
+    # The table builders and the scan reach classify through orbits.sweep,
+    # which owns the one memo of each walk.
+    calls = []
+    for path in MODULES:
+        for fn in _nodes(path):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                func = node.func if isinstance(node, ast.Call) else None
+                if "classify" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    memo = len(node.args) > 2 or any(k.arg == "memo" for k in node.keywords)
+                    calls.append((path.name, fn.name, memo))
+    assert [call for call in calls if call[2]] == [("orbits.py", "sweep", True)]
+    assert [call for call in calls if call[0] in ("report.py", "ferus.py")] == []
+
+
+def test_every_mutant_still_applies():
+    # tests/mutants.py edits each old text in place, and names its killing
+    # test by node id; a refactor that moves either must update the list.
+    import mutants
+
+    for name, old, new, test in mutants.MUTANTS:
+        assert (ROOT / "src" / "gaussorbits" / name).read_text().count(old) == 1, (name, old)
+        assert old != new
+        path, cls, function = test.split("::")
+        classes = [
+            node for node in ast.parse((ROOT / path).read_text()).body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+        ]
+        assert any(
+            isinstance(item, ast.FunctionDef) and item.name == function
+            for node in classes for item in node.body
+        ), test

@@ -672,3 +672,26 @@ class TestMemo:
             rep = orbits.classify(pair, orbits.resolve_orbit(pair, "highest"))
             assert (inst.p, inst.n) == (pair.p, pair.n)
             assert (inst.l, inst.r, inst.degeneracy) == (rep.l, rep.r, rep.nullity)
+
+    def test_a_scan_runs_the_root_pass_once_per_orbit(self, db, monkeypatch):
+        # The scan's one memo: a (system, folded ray) that many pairs and
+        # every n share costs one _orbit_facts call.
+        calls = []
+        orbit_facts = orbits._orbit_facts
+
+        def counted(system, H):
+            calls.append((system, H))
+            return orbit_facts(system, H)
+
+        monkeypatch.setattr(orbits, "_orbit_facts", counted)
+        grid = (2, 6), (0, 4)
+        rows = ferus.equality_scan(db, *grid)
+        keys = set()
+        for pair in db.instantiations(*grid):
+            system = pair.system()
+            for spec in ferus._SCAN_ORBITS[pair.rstype.family]:
+                H = orbits.weyl_fold(system, orbits.resolve_orbit(pair, spec))
+                keys.add((system, rootsys.primitive_ray(H)))
+        assert len(rows) > len(keys)
+        assert len(calls) == len(set(calls)) == len(keys)
+        assert set(calls) == keys

@@ -605,12 +605,12 @@ class TestCheckBuild:
         finally:
             rs._build_cached.cache_clear()
 
-    @pytest.mark.parametrize("rank", [3, 5, 8])
+    @pytest.mark.parametrize("rank", [2, 3, 5, 8])
     def test_simple_roots_that_are_no_base(self, monkeypatch, rank):
         # alpha_1, alpha_1 + alpha_2, alpha_3, ... span the root lattice and
         # their reflections generate the Weyl group, so the reflection
         # closure holds; but e_2 - e_3 is no sum of them with coefficients
-        # of one sign.
+        # of one sign, and the height walk finds no lower root below it.
         build = rs._CONSTRUCTORS["A"]
 
         def no_base(p):
@@ -621,7 +621,10 @@ class TestCheckBuild:
         monkeypatch.setitem(rs._CONSTRUCTORS, "A", no_base)
         rs._build_cached.cache_clear()
         try:
-            with pytest.raises(rs.InvariantViolation, match=f"A{rank}: "):
+            with pytest.raises(
+                rs.InvariantViolation,
+                match=f"A{rank}: positive root .* is no simple root plus a lower one",
+            ):
                 rs.build("A", rank)
         finally:
             rs._build_cached.cache_clear()
