@@ -43,14 +43,12 @@ def _parse_range(text: str | None, default: tuple[int, int]) -> tuple[int, int]:
     default=None,
     help="override the embedded pairs.dat",
 )
-@click.option("--check", "check", is_flag=True, help="verify instead of just printing")
 @click.pass_context
-def cli(ctx, fmt, pairs_path, check):
+def cli(ctx, fmt, pairs_path):
     """Classify isotropy orbits with degenerate Gauss maps, exactly."""
     ctx.obj = {
         "fmt": fmt,
         "db": pairdb.load_database(pairs_path),
-        "check": check,
     }
 
 
@@ -63,7 +61,6 @@ def table1_cmd(ctx, p_range, n_range, check):
     """Print (or verify) the classification table of degenerate orbits."""
     db = ctx.obj["db"]
     fmt = ctx.obj["fmt"]
-    check = check or ctx.obj["check"]
     grid = {
         "p_range": _parse_range(p_range, report.TABLE1_P_RANGE),
         "n_range": _parse_range(n_range, report.TABLE1_N_RANGE),

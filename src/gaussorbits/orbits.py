@@ -58,10 +58,10 @@ def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
     the support of A when m is 1.  It visits the same rational vectors as
     repeated `reflect` calls, and builds one RootVec at the end.
     """
-    if H.dim != system.ambient_dim:
-        raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
     if H.is_zero():
         raise ValueError("H must be nonzero")
+    if H.dim != system.ambient_dim:
+        raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
     num, den = list(H._num), H._den
     while True:
         for support in system.simple_support:
@@ -85,7 +85,7 @@ def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
 
 
 # Class counts per (system, walls of H); see _orbit_facts.  Bounded like
-# cond_a and cond_b: once full, the oldest entry goes.
+# cond_b: once full, the oldest entry goes.
 _WALL_COUNTS_MAX = 4096
 _wall_counts: dict = {}
 
@@ -99,7 +99,7 @@ _LENGTHS_DOWN = {
 def _orbit_facts(system: RootSystem, H: RootVec):
     """The facts of the orbit through the chamber point H that no pair changes.
 
-    Returns (counts, lam, root class of lam, (a) and (b) at lam): counts
+    Returns (counts, lam, class index of lam, (a) and (b) at lam): counts
     holds, per class of CLASSES[family], the number of positive roots not
     orthogonal to H, and lam is the longest root on the line of H (in a
     BC system e_1 and 2e_1 share a line; the rule must see the long one).
@@ -115,8 +115,6 @@ def _orbit_facts(system: RootSystem, H: RootVec):
     is found by looking up t H for each L, longest first, that makes t
     rational.  An H outside the closed chamber raises ValueError.
     """
-    if H.dim != system.ambient_dim:
-        raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
     num = H._num
     walls = []
     for support in system.simple_support:
@@ -151,25 +149,18 @@ def _orbit_facts(system: RootSystem, H: RootVec):
         s = isqrt(length * hh)
         if s * s == length * hh:
             lam = RootVec._raw(tuple(s * x for x in num), hh)
-            if system.contains_positive(lam):
-                ab = cond_a(system, lam) and cond_b(system, lam)
-                return counts, lam, system.root_class(lam), ab
+            c = system._class_of.get(lam)
+            if c is not None:
+                # (a), that 2 lam is no root, holds by construction: 2 lam
+                # is longer and on the same line, so this walk would have
+                # found it first.  (a) and (b) is (b).
+                return counts, lam, c, cond_b(system, lam)
     return counts, None, None, None
-
-
-@lru_cache(maxsize=4096)
-def cond_a(system: RootSystem, lam: RootVec) -> bool:
-    """2*lam is not a root."""
-    if not system.contains(lam):
-        raise ValueError(f"{lam!r} is not a root")
-    return not system.contains(2 * lam)
 
 
 @lru_cache(maxsize=4096)
 def cond_b(system: RootSystem, lam: RootVec) -> bool:
     """No positive root orthogonal to lam gives a root when added/subtracted."""
-    if not system.contains(lam):
-        raise ValueError(f"{lam!r} is not a root")
     # For nu orthogonal to lam, |lam + nu|^2 = |lam|^2 + |nu|^2, so lam + nu
     # can be a root only when that sum is a class length; for a long lam
     # no class passes.
@@ -219,8 +210,6 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     A memo, one dict that `sweep` passes to all its calls, holds the
     pair-free facts by (system, folded ray); the rest is computed per call.
     """
-    if H.is_zero():
-        raise ValueError("H must be nonzero")
     system = pair.system()
     memo = {} if memo is None else memo
     # Keys are folded primitive rays, which fold onto themselves.
@@ -230,31 +219,25 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
         if (system, H) not in memo:
             memo[system, H] = _orbit_facts(system, H)
         facts = memo[system, H]
-    counts, lam, root_class, ab = facts
+    counts, lam, c, ab = facts
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
     l = sum(count * m for count, (_, m) in zip(counts, pair.mult_by_class))
+    root_class = system._class_labels.get(c)  # None when no root is on the line
     if lam is None:
-        return OrbitReport(
-            pair=pair.label(),
-            H=H,
-            degenerate=False,
-            l=l,
-            r=l,
-            nullity=0,
-            rule=RULE_NOT_PARALLEL,
-        )
-    if root_class == "long":
-        rule, degenerate = RULE_LONG_ROOT, True
+        rule = RULE_NOT_PARALLEL
+    elif root_class == "long":
+        rule = RULE_LONG_ROOT
     elif system.rstype.family == "G2":
-        rule, degenerate = RULE_G2_SHORT_ROOT, True
+        rule = RULE_G2_SHORT_ROOT
     else:
-        rule, degenerate = RULE_SHORT_NON_G2, False
+        rule = RULE_SHORT_NON_G2
+    degenerate = rule in (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT)
     if ab and not degenerate:
         raise InvariantViolation(
             f"{pair.key}: {lam!r} satisfies (a) and (b) but was not classified "
             f"degenerate"
         )
-    nullity = pair.multiplicity(lam) if degenerate else 0
+    nullity = pair.mult_by_class[c][1] if degenerate else 0
     return OrbitReport(
         pair=pair.label(),
         H=H,

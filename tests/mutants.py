@@ -65,11 +65,39 @@ MUTANTS = (
      "if counted + rank != dim_m:",
      "if False:",
      "tests/test_pairdb.py::TestFileFormat::test_schema_violations"),
+    # rootsys._check_build's dominance check, the only one that sees a
+    # reducible system
+    ("rootsys.py",
+     "if any(map(operator.lt, top, coeffs)):",
+     "if False:",
+     "tests/test_rootsys.py::TestCheckBuild::test_a_reducible_system"),
     # orbits._orbit_facts
     ("orbits.py",
      "        if dot < 0:\n            raise ValueError(",
      "        if False:\n            raise ValueError(",
      "tests/test_orbits.py::TestWallCounts::test_a_point_outside_the_chamber"),
+    # orbits.OrbitReport and orbits.classify
+    ("orbits.py",
+     "if self.nullity != self.l - self.r or self.nullity < 0:",
+     "if False:",
+     "tests/test_orbits.py::TestOrbitReport::test_nullity_is_l_minus_r_and_not_negative"),
+    ("orbits.py",
+     "if self.degenerate != (self.nullity > 0):",
+     "if False:",
+     "tests/test_orbits.py::TestOrbitReport::test_degenerate_exactly_when_nullity_is_positive"),
+    ("orbits.py",
+     "if self.degenerate and self.rule not in (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT):",
+     "if False:",
+     "tests/test_orbits.py::TestOrbitReport::test_degenerate_only_by_the_rule"),
+    ("orbits.py",
+     "if ab and not degenerate:",
+     "if False:",
+     "tests/test_orbits.py::TestClassify::test_ab_outside_the_rule_is_invariant_violation"),
+    # ferus.FerusCertificate
+    ("ferus.py",
+     "if self.F != self.witness_k or self.minimality_checked_up_to != self.F - 1:",
+     "if False:",
+     "tests/test_ferus.py::TestFerus::test_inconsistent_certificate_is_refused"),
     # report
     ("report.py",
      "            if got != self.degeneracy:",

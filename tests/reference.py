@@ -3,9 +3,10 @@
 `simple_coefficients` solves for simple-root coefficients with a
 `Fraction` row reduction, independent of the package's height walk;
 `is_parallel` is the proportionality test that `orbits` replaces by a
-lookup; the Wolf ratio, the delta-string depth and the nullity bound
-state facts of the paper's setting that the tests check against
-`rootsys` and `orbits`.
+lookup; `cond_a` is condition (a), which `orbits` never evaluates since
+its lambda satisfies it by construction; the Wolf ratio, the
+delta-string depth and the nullity bound state facts of the paper's
+setting that the tests check against `rootsys` and `orbits`.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ def delta_string_depth(system: RootSystem, lam: RootVec) -> int:
         depth -= 1
         v = v - system.highest_root
     return depth
+
+
+@lru_cache(maxsize=4096)
+def cond_a(system: RootSystem, lam: RootVec) -> bool:
+    """2*lam is not a root."""
+    if not system.contains(lam):
+        raise ValueError(f"{lam!r} is not a root")
+    return not system.contains(2 * lam)
 
 
 def is_parallel(a: RootVec, b: RootVec) -> bool:

@@ -71,7 +71,7 @@ def test_c2_conditions_select_exactly_g2_short(db):
             for lam in system.positive_roots:
                 if system.root_class(lam) == "long":
                     continue
-                if orbits.cond_a(system, lam) and orbits.cond_b(system, lam):
+                if reference.cond_a(system, lam) and orbits.cond_b(system, lam):
                     survivors.append((system.rstype.label(), lam))
         g2 = rootsys.build("G2")
         assert survivors == [

@@ -61,8 +61,10 @@ class TestTable1Command:
         assert "match" in out
 
     def test_global_check_flag(self, run):
-        code, out, _ = run("--check", "table1")
-        assert code == 0
+        # --check belongs to table1 alone; before the subcommand it is unknown.
+        code, out, err = run("--check", "table1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_numeric_instantiation(self, run):
         code, out, _ = run("--format", "csv", "table1", "--p-range", "2:3", "--n-range", "1:1")

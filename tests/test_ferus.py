@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -70,6 +71,13 @@ class TestFerus:
         assert all(
             ferus.adams(k) + k < 57 for k in range(1, cert.minimality_checked_up_to + 1)
         )
+
+    def test_inconsistent_certificate_is_refused(self):
+        # FerusCertificate is public, so a caller can build one by hand.
+        cert = ferus.ferus(57)
+        for fields in ({"F": 57}, {"witness_k": 57}, {"minimality_checked_up_to": 56}):
+            with pytest.raises(ValueError, match="inconsistent certificate"):
+                replace(cert, **fields)
 
     def test_oracle_agreement_range(self):
         for l in range(1, 200):

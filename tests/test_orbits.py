@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from gaussorbits.orbits import (
     RULE_NOT_PARALLEL,
     RULE_SHORT_NON_G2,
 )
-from gaussorbits.rootsys import RootVec
+from gaussorbits.rootsys import InvariantViolation, RootVec
 from reference import rootvec
 
 
@@ -155,8 +157,8 @@ def _dense_orbit_facts(system, H):
     if not on_line:
         return tuple(counts), None, None, None
     lam = max(on_line, key=rootsys.norm_sq)
-    ab = orbits.cond_a(system, lam) and orbits.cond_b(system, lam)
-    return tuple(counts), lam, system.root_class(lam), ab
+    ab = reference.cond_a(system, lam) and orbits.cond_b(system, lam)
+    return tuple(counts), lam, system.class_index(lam), ab
 
 
 class TestOrbitFactsReference:
@@ -257,6 +259,72 @@ class TestWallCounts:
         orbits._wall_counts.clear()
 
 
+class TestConditionAByConstruction:
+    # _orbit_facts never evaluates (a): its lambda is the longest root on
+    # the line of H, so 2 lambda, longer and on that line, is no root.
+
+    def test_lambda_satisfies_a_and_ab_is_b(self):
+        checked, shorter_fails_a = 0, 0
+        for system in _SYSTEMS_TO_8:
+            points = [system.highest_root]
+            for spec in ("long", "middle", "short"):
+                try:
+                    points.append(orbits._canonical_class_rep(system, spec))
+                except ValueError:
+                    pass
+            if system.rank <= 3:
+                coweights = system.fundamental_coweights()
+                for k in range(1, system.rank + 1):
+                    for face in itertools.combinations(coweights, k):
+                        points.append(sum(face, RootVec([0] * system.ambient_dim)))
+            for H in points:
+                H = rootsys.primitive_ray(H)
+                _, lam, c, ab = orbits._orbit_facts(system, H)
+                if lam is None:
+                    assert (c, ab) == (None, None), (system, H)
+                    continue
+                checked += 1
+                assert reference.cond_a(system, lam), (system, lam)
+                assert ab == (reference.cond_a(system, lam)
+                              and orbits.cond_b(system, lam)), (system, lam)
+                assert c == system.class_index(lam)
+                # In BC, e_1 is on the line of 2e_1 and fails (a).
+                half = Fraction(1, 2) * lam
+                shorter_fails_a += system.contains(half) and not reference.cond_a(system, half)
+        assert checked > 100 and shorter_fails_a > 0
+
+
+class TestOrbitReport:
+    # Each check of OrbitReport.__post_init__ refuses a report that breaks
+    # it and passes the other two.
+
+    @pytest.fixture()
+    def report_(self, db):
+        pair = db.get("g2|so(4)").instantiate()
+        rep = orbits.classify(pair, orbits.resolve_orbit(pair, "long"))
+        assert (rep.degenerate, rep.l, rep.r, rep.nullity, rep.rule) == (
+            True, 5, 4, 1, RULE_LONG_ROOT)
+        return rep
+
+    def test_nullity_is_l_minus_r_and_not_negative(self, report_):
+        with pytest.raises(InvariantViolation, match="inconsistent report"):
+            replace(report_, r=report_.l)
+        with pytest.raises(InvariantViolation, match="inconsistent report"):
+            replace(report_, degenerate=False, r=report_.l + 1, nullity=-1,
+                    rule=RULE_NOT_PARALLEL)
+
+    def test_degenerate_exactly_when_nullity_is_positive(self, report_):
+        with pytest.raises(InvariantViolation, match="inconsistent report"):
+            replace(report_, r=report_.l, nullity=0)
+        with pytest.raises(InvariantViolation, match="inconsistent report"):
+            replace(report_, degenerate=False, rule=RULE_NOT_PARALLEL)
+
+    def test_degenerate_only_by_the_rule(self, report_):
+        for rule in (RULE_SHORT_NON_G2, RULE_NOT_PARALLEL):
+            with pytest.raises(InvariantViolation, match=f"degenerate orbit with rule {rule}"):
+                replace(report_, rule=rule)
+
+
 class TestCanonicalClassRep:
     def test_is_the_sort_key_maximum_of_its_class(self):
         systems = list(_systems(8)) + [
@@ -304,7 +372,7 @@ class TestConditions:
     def test_c2_middle_fails_b(self):
         system = rootsys.build("C", 2)
         lam = rootvec(1, 1)
-        assert orbits.cond_a(system, lam)
+        assert reference.cond_a(system, lam)
         assert not orbits.cond_b(system, lam)
 
     def test_g2_short_passes_both(self):
@@ -312,19 +380,19 @@ class TestConditions:
         for lam in system.positive_roots:
             if system.root_class(lam) == "long":
                 continue
-            assert orbits.cond_a(system, lam)
+            assert reference.cond_a(system, lam)
             assert orbits.cond_b(system, lam)
 
     def test_highest_root_passes_both(self):
         for family, rank in [("B", 4), ("BC", 3), ("F4", 4), ("E7", 7)]:
             system = rootsys.build(family, rank)
-            assert orbits.cond_a(system, system.highest_root)
+            assert reference.cond_a(system, system.highest_root)
             assert orbits.cond_b(system, system.highest_root)
 
     def test_non_root_rejected(self):
         system = rootsys.build("C", 2)
-        with pytest.raises(ValueError):
-            orbits.cond_a(system, rootvec(1, 2))
+        with pytest.raises(ValueError, match="is not a root of C2"):
+            orbits.cond_b(system, rootvec(1, 2))
 
     def test_c_type_orthogonal_witnesses(self):
         # the roots orthogonal to e_1+e_2 in C_4, and the witnesses that
@@ -357,7 +425,7 @@ class TestConditions:
             for lam in system.positive_roots:
                 if system.root_class(lam) == "long":
                     continue
-                if orbits.cond_a(system, lam) and orbits.cond_b(system, lam):
+                if reference.cond_a(system, lam) and orbits.cond_b(system, lam):
                     survivors.append((system.rstype.label(), lam))
         g2 = rootsys.build("G2")
         assert survivors == [
@@ -502,8 +570,27 @@ class TestClassify:
 
     def test_zero_rejected(self, db):
         pair = db.get("e6|f4").instantiate()
-        with pytest.raises(ValueError):
-            orbits.classify(pair, rootvec(0, 0, 0))
+        for H in (rootvec(0, 0, 0), rootvec(0, 0)):
+            with pytest.raises(ValueError, match="H must be nonzero"):
+                orbits.classify(pair, H)
+
+    def test_wrong_dimension_rejected(self, db):
+        pair = db.get("e6|f4").instantiate()
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            orbits.classify(pair, rootvec(1, 0))
+
+    def test_ab_outside_the_rule_is_invariant_violation(self, db, monkeypatch):
+        # (a) and (b) are sufficient for degeneracy, so a root that passes
+        # both but falls under ShortRootNonG2 means the rule or the
+        # conditions are wrong.  B3's short root e_1 fails (b); force it.
+        pair = db.get("so(2p+n)|so(p)+so(p+n)").instantiate(p=3, n=1)
+        H = orbits.resolve_orbit(pair, "short")
+        rep = orbits.classify(pair, H)
+        assert (rep.rule, rep.satisfies_ab) == (RULE_SHORT_NON_G2, False)
+        monkeypatch.setattr(orbits, "cond_b", lambda system, lam: True)
+        with pytest.raises(InvariantViolation,
+                           match=r"satisfies \(a\) and \(b\) but was not classified"):
+            orbits.classify(pair, H)
 
 
 class TestPrincipalCurvatures:

@@ -605,6 +605,24 @@ class TestCheckBuild:
         finally:
             rs._build_cached.cache_clear()
 
+    def test_a_reducible_system(self, monkeypatch):
+        # A1 x A1 passed off as A2: one class of two roots of length 2, a
+        # closed reflection closure and a base, so only the dominance check
+        # sees that the lex maximum is no highest root (Humphreys 10.4
+        # assumes an irreducible system).
+        a, b = rootvec(1, -1, 0, 0), rootvec(0, 0, 1, -1)
+        monkeypatch.setitem(rs._CONSTRUCTORS, "A", lambda p: ([a, b], [a, b], a, (0, 1, 2, 3)))
+        monkeypatch.setitem(rs.CLASSES, "A", (("all", 2, lambda p: 2),))
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(
+                rs.InvariantViolation,
+                match=r"A2: highest root does not dominate RootVec\(0, 0, 1, -1\)",
+            ):
+                rs.build("A", 2)
+        finally:
+            rs._build_cached.cache_clear()
+
     @pytest.mark.parametrize("rank", [2, 3, 5, 8])
     def test_simple_roots_that_are_no_base(self, monkeypatch, rank):
         # alpha_1, alpha_1 + alpha_2, alpha_3, ... span the root lattice and
