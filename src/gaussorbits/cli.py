@@ -97,11 +97,9 @@ def classify_cmd(ctx, pair_key, root_spec, p, n, xi):
         family = db.get(pair_key)
     except KeyError as exc:
         raise click.UsageError(exc.args[0]) from None
-    if family.uses_p and p is None:
-        p = family.p_min
-    if family.uses_n and n is None:
-        n = family.n_min
-    pair = family.instantiate(p=p, n=n)
+    pair = family.instantiate(
+        p=family.p_min if p is None else p, n=family.n_min if n is None else n
+    )
     if root_spec in orbits.ORBIT_SPECS:
         H = orbits.resolve_orbit(pair, root_spec)
     else:

@@ -124,7 +124,7 @@ def equality_scan(
             f = ferus_of[report.l] = ferus(report.l).F
         rows.append(
             ScanRow(
-                pair=pair.key,
+                pair=pair.family.key,
                 p=pair.p,
                 n=pair.n,
                 orbit=orbit_spec,

@@ -196,8 +196,16 @@ def resolve_orbit(pair: pairdb.Pair, spec: str) -> RootVec:
         try:
             return _canonical_class_rep(system, spec)
         except ValueError as exc:
-            raise ValueError(f"{pair.key}: {exc}") from None
+            raise ValueError(f"{pair.family.key}: {exc}") from None
     raise ValueError(f"unknown orbit spec {spec!r}")
+
+
+def _check_span(system: RootSystem, v: RootVec) -> None:
+    """Refuse a v outside the root span; reflections keep v's normal part."""
+    for normal in system.normals:
+        if rootsys._dot_sign_num(v, normal):  # v's dimension is checked
+            label = system.rstype.label()
+            raise ValueError(f"{v!r} is not in the span of the roots of {label}")
 
 
 def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitReport:
@@ -215,7 +223,9 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     # Keys are folded primitive rays, which fold onto themselves.
     facts = memo.get((system, H))
     if facts is None:
-        H = rootsys.primitive_ray(weyl_fold(system, H))
+        folded = weyl_fold(system, H)  # refuses a zero or misdimensioned H first
+        _check_span(system, H)
+        H = rootsys.primitive_ray(folded)
         if (system, H) not in memo:
             memo[system, H] = _orbit_facts(system, H)
         facts = memo[system, H]
@@ -234,7 +244,7 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     degenerate = rule in (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT)
     if ab and not degenerate:
         raise InvariantViolation(
-            f"{pair.key}: {lam!r} satisfies (a) and (b) but was not classified "
+            f"{pair.family.key}: {lam!r} satisfies (a) and (b) but was not classified "
             f"degenerate"
         )
     nullity = pair.mult_by_class[c][1] if degenerate else 0
@@ -275,13 +285,14 @@ def principal_curvatures(
     system = pair.system()
     if xi.dim != H.dim or H.dim != system.ambient_dim:
         raise ValueError("dimension mismatch")
+    _check_span(system, xi)
     if not is_orthogonal(xi, H):
         raise ValueError(f"xi={xi!r} is not orthogonal to H={H!r}")
     spectrum: dict[Fraction, int] = {}
-    for lam in system.positive_roots:
+    for lam, c in zip(system.positive_roots, system.positive_classes):
         denom = inner(lam, H)
         if denom == 0:
             continue
         value = -inner(lam, xi) / denom
-        spectrum[value] = spectrum.get(value, 0) + pair.multiplicity(lam)
+        spectrum[value] = spectrum.get(value, 0) + pair.mult_by_class[c][1]
     return tuple(sorted(spectrum.items()))

@@ -12,6 +12,7 @@ is what every table value in this package is computed from.
 from __future__ import annotations
 
 import ast
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import rootsys
-from .rootsys import RootSystem, RootSystemType, RootVec
+from .rootsys import RootSystem, RootSystemType
 
 FLAGS = frozenset(
     ["hermitian", "normal_real_form", "quaternionic_F4_exceptional", "group_manifold"]
@@ -136,29 +137,22 @@ def normalize_key(text: str) -> str:
 
 @dataclass(frozen=True)
 class Pair:
-    """One instantiated symmetric pair (concrete rank and multiplicities)."""
+    """A family at (p, n), None for an unused one: its rank and multiplicities."""
 
-    key: str
-    g_name: str
-    k_name: str
+    family: PairFamily
     rstype: RootSystemType
     mult_by_class: tuple[tuple[str, int], ...]  # in rootsys.CLASSES order
-    dim_m: int
     p: int | None = None
     n: int | None = None
 
     def system(self) -> RootSystem:
         return rootsys.build(self.rstype)
 
-    def multiplicity(self, root: RootVec) -> int:
-        """m(root): the multiplicity of the class of a restricted root."""
-        return self.mult_by_class[self.system().class_index(root)][1]
-
     def label(self) -> str:
         params = [f"p={self.p}" if self.p is not None else "",
                   f"n={self.n}" if self.n is not None else ""]
         params = ",".join(x for x in params if x)
-        return f"{self.key}" + (f" [{params}]" if params else "")
+        return f"{self.family.key}" + (f" [{params}]" if params else "")
 
 
 def bound_text(bound: int | None) -> str:
@@ -172,6 +166,11 @@ def bound_text(bound: int | None) -> str:
 # two rows per (p, n), so at this cap one family's n sweep at one p takes
 # about 0.03 s (0.02-0.035 s measured at p = 30, first sweep of a scan).
 MAX_N_SPAN = 300
+
+
+def _axis(grid: tuple[int, int], lo: int, hi: int | None) -> range:
+    """The values of the inclusive grid that lie in the bounds [lo, hi]."""
+    return range(max(grid[0], lo), (grid[1] if hi is None else min(grid[1], hi)) + 1)
 
 
 @dataclass(frozen=True)
@@ -201,6 +200,10 @@ class PairFamily:
         object.__setattr__(self, "_g_name", compile_name(self.g_name))
         object.__setattr__(self, "_k_name", compile_name(self.k_name))
 
+    def names(self, p: int | None = None, n: int | None = None) -> tuple[str, str]:
+        """The display names (g, k) at (p, n)."""
+        return self._g_name(p, n), self._k_name(p, n)
+
     @property
     def uses_p(self) -> bool:
         return self.p_min is not None
@@ -209,24 +212,19 @@ class PairFamily:
     def uses_n(self) -> bool:
         return self.n_min is not None
 
-    def instantiate(self, p: int | None = None, n: int | None = None) -> Pair:
-        if self.uses_p:
-            if p is None:
-                raise ValueError(f"{self.key}: parameter p is required")
-            if p < self.p_min or (self.p_max is not None and p > self.p_max):
-                hi = bound_text(self.p_max)
-                raise ValueError(f"{self.key}: p={p} outside [{self.p_min}, {hi}]")
-        else:
-            p = None
-        if self.uses_n:
-            if n is None:
-                raise ValueError(f"{self.key}: parameter n is required")
-            if n < self.n_min or (self.n_max is not None and n > self.n_max):
-                hi = bound_text(self.n_max)
-                raise ValueError(f"{self.key}: n={n} outside [{self.n_min}, {hi}]")
-        else:
-            n = None
+    def _parameter(self, name: str, value: int | None, lo: int | None, hi: int | None):
+        """value checked against the bounds [lo, hi]; None for an unused parameter."""
+        if lo is None:
+            return None
+        if value is None:
+            raise ValueError(f"{self.key}: parameter {name} is required")
+        if value < lo or (hi is not None and value > hi):
+            raise ValueError(f"{self.key}: {name}={value} outside [{lo}, {bound_text(hi)}]")
+        return value
 
+    def instantiate(self, p: int | None = None, n: int | None = None) -> Pair:
+        p = self._parameter("p", p, self.p_min, self.p_max)
+        n = self._parameter("n", n, self.n_min, self.n_max)
         rank = p if self.rank_expr == "p" else int(self.rank_expr)
         rstype = RootSystemType(self.family, rank)
         by_class = {tag: self._exprs[tag](p, n) for tag, _ in self.mult}
@@ -243,48 +241,34 @@ class PairFamily:
                 f"{self.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}"
             )
         return Pair(
-            key=self.key,
-            g_name=self._g_name(p, n),
-            k_name=self._k_name(p, n),
+            family=self,
             rstype=rstype,
             mult_by_class=tuple((tag, by_class[tag]) for tag, _, _ in classes),
-            dim_m=dim_m,
             p=p,
             n=n,
         )
 
     def instantiations(self, p_range=None, n_range=None):
-        """All concrete pairs over the given (inclusive) parameter ranges.
+        """The pairs at each (p, n) of the p axis times the n axis.
 
-        A p range whose top rank is above rootsys.MAX_RANK, or an n range
-        of more than MAX_N_SPAN values, is refused before the first pair,
-        so no caller works through the part of the grid below the limit.
+        An axis is the (inclusive) range clipped to the family's bounds, or
+        (None,) for a parameter the family does not use.  A p axis whose
+        top rank is above rootsys.MAX_RANK, or an n axis of more than
+        MAX_N_SPAN values, is refused before the first pair, so no caller
+        works through the part of the grid below the limit.
         """
-        if not self.uses_p:
-            yield self.instantiate()
-            return
-        lo, hi = p_range
-        lo = max(lo, self.p_min)
-        if self.p_max is not None:
-            hi = min(hi, self.p_max)
-        if lo <= hi:
-            RootSystemType(self.family, hi)  # raises above rootsys.MAX_RANK
-        if self.uses_n and lo <= hi:
-            nlo, nhi = n_range
-            nlo = max(nlo, self.n_min)
-            if self.n_max is not None:
-                nhi = min(nhi, self.n_max)
-            if nhi - nlo + 1 > MAX_N_SPAN:
-                raise ValueError(
-                    f"{self.key}: n range {nlo}:{nhi} has {nhi - nlo + 1} values, "
-                    f"above the largest n span {MAX_N_SPAN}"
-                )
-        for p in range(lo, hi + 1):
-            if not self.uses_n:
-                yield self.instantiate(p=p)
-                continue
-            for n in range(nlo, nhi + 1):
-                yield self.instantiate(p=p, n=n)
+        p_axis = _axis(p_range, self.p_min, self.p_max) if self.uses_p else (None,)
+        n_axis = _axis(n_range, self.n_min, self.n_max) if self.uses_n else (None,)
+        if p_axis and self.uses_p:
+            RootSystemType(self.family, p_axis[-1])  # raises above rootsys.MAX_RANK
+        if p_axis and self.uses_n and (span := n_axis.stop - n_axis.start) > MAX_N_SPAN:
+            raise ValueError(
+                f"{self.key}: n range {n_axis.start}:{n_axis.stop - 1} has {span} "
+                f"values, above the largest n span {MAX_N_SPAN}"
+            )
+        # product stores each axis whole; an n axis beside an empty p axis is uncapped.
+        for p, n in itertools.product(p_axis, n_axis if p_axis else ()):
+            yield self.instantiate(p, n)
 
 
 class PairDatabase:
@@ -302,9 +286,6 @@ class PairDatabase:
 
     def __iter__(self):
         return iter(self.families)
-
-    def __len__(self):
-        return len(self.families)
 
     def instantiations(self, p_range, n_range):
         """Every family's instantiations over the grid, in database order."""
@@ -452,6 +433,7 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
             raise PairsFormatError(str(exc), rec["lines"][field]) from None
     try:
         fam.instantiate(p=fam.p_min, n=fam.n_min)
+        fam.names(fam.p_min, fam.n_min)
     except ValueError as exc:
         raise PairsFormatError(str(exc), line) from None
     return fam

@@ -105,7 +105,7 @@ def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
         if (family.uses_p or not dp) and (family.uses_n or not dn)
     )
     # Each family's points are one run of the sweep.
-    runs = groupby(fits, key=lambda fit: fit[0].key)
+    runs = groupby(fits, key=lambda fit: fit[0].family.key)
     return [
         _affine_fit(family, {(pair.p, pair.n): (rep.l, rep.r) for pair, _, rep in points})
         for family, (_, points) in zip(db, runs)
@@ -132,9 +132,8 @@ def table1_instances(
     """Numeric table over a parameter grid (clipped to each row's bounds)."""
     return [
         Table1Instance(
-            rstype=pair.rstype.family,
-            g=pair.g_name,
-            k=pair.k_name,
+            pair.rstype.family,
+            *pair.family.names(pair.p, pair.n),
             p=pair.p,
             n=pair.n,
             l=rep.l,
@@ -195,7 +194,7 @@ def check_table1(
     }
     checked = pairdb.PairDatabase([family for family in db if family.key in formulas])
     for pair, _, report in orbits.sweep(checked.instantiations(p_range, n_range)):
-        exp, l_of, r_of = formulas[pair.key]
+        exp, l_of, r_of = formulas[pair.family.key]
         want_l, want_r = l_of(pair.p, pair.n), r_of(pair.p, pair.n)
         if (report.l, report.r, report.nullity) != (want_l, want_r, exp.degeneracy):
             problems.append(

@@ -284,12 +284,13 @@ class RootSystem:
         "positive_classes",
         "highest_root",
         "significance",
+        "normals",
         "_class_of",
         "_class_labels",
     )
 
     def __init__(self, rstype, ambient_dim, simple_roots, positive_roots,
-                 highest_root, significance):
+                 highest_root, significance, normals=()):
         object.__setattr__(self, "rstype", rstype)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "simple_roots", tuple(simple_roots))
@@ -328,6 +329,7 @@ class RootSystem:
         object.__setattr__(self, "positive_classes", classes)
         object.__setattr__(self, "highest_root", highest_root)
         object.__setattr__(self, "significance", tuple(significance))
+        object.__setattr__(self, "normals", tuple(normals))
         # The one index of the positive roots; a negative root is looked up
         # through its negation.
         object.__setattr__(self, "_class_of", dict(zip(positive, classes)))
@@ -423,7 +425,12 @@ def build(family, rank: int | None = None) -> RootSystem:
 def _build_cached(family: str, rank: int) -> RootSystem:
     rstype = RootSystemType(family, rank)
     simple, positive, highest, significance = _CONSTRUCTORS[family](rank)
-    system = RootSystem(rstype, simple[0].dim, simple, positive, highest, significance)
+    normals = []  # an integer basis of the complement of the root span
+    if family in ("A", "G2"):  # the coordinates of each root sum to zero
+        normals = [_reduced((1,) * simple[0].dim, 1)]
+    elif family in ("E6", "E7"):  # the conditions _build_e cuts E8 down by
+        normals = [_vec(8, (6, 1), (7, 1)), _vec(8, (5, 1), (6, -1))][: 8 - rank]
+    system = RootSystem(rstype, simple[0].dim, simple, positive, highest, significance, normals)
     _check_build(system)
     return system
 

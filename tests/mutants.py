@@ -65,6 +65,16 @@ MUTANTS = (
      "if counted + rank != dim_m:",
      "if False:",
      "tests/test_pairdb.py::TestFileFormat::test_schema_violations"),
+    # pairdb.PairFamily.instantiations and the load-time name check
+    ("pairdb.py",
+     "itertools.product(p_axis, n_axis if p_axis else ())",
+     "itertools.product(p_axis, n_axis)",
+     "tests/test_pairdb.py::TestInstantiations::"
+     "test_an_empty_p_axis_leaves_the_n_axis_unwalked"),
+    ("pairdb.py",
+     "        fam.names(fam.p_min, fam.n_min)\n",
+     "",
+     "tests/test_pairdb.py::TestInstantiations::test_a_name_is_checked_at_load"),
     # rootsys._check_build's dominance check, the only one that sees a
     # reducible system
     ("rootsys.py",
@@ -89,6 +99,10 @@ MUTANTS = (
      "if self.degenerate and self.rule not in (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT):",
      "if False:",
      "tests/test_orbits.py::TestOrbitReport::test_degenerate_only_by_the_rule"),
+    ("orbits.py",
+     "        if rootsys._dot_sign_num(v, normal):  # v's dimension is checked",
+     "        if False:",
+     "tests/test_cli.py::TestClassifyCommand::test_a_point_outside_the_root_span"),
     ("orbits.py",
      "if ab and not degenerate:",
      "if False:",

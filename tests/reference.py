@@ -6,7 +6,9 @@
 lookup; `cond_a` is condition (a), which `orbits` never evaluates since
 its lambda satisfies it by construction; the Wolf ratio, the
 delta-string depth and the nullity bound state facts of the paper's
-setting that the tests check against `rootsys` and `orbits`.
+setting that the tests check against `rootsys` and `orbits`;
+`multiplicity` reads m(root) of a pair by its root, where the package
+reads it by class index.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ def is_parallel(a: RootVec, b: RootVec) -> bool:
     return all(x * bj == aj * y for x, y in zip(an, bn))
 
 
+def multiplicity(pair, root: RootVec) -> int:
+    """m(root): the multiplicity of the class of a restricted root of pair."""
+    return pair.mult_by_class[pair.system().class_index(root)][1]
+
+
 def nullity_upper_bound(pair, H: RootVec) -> int:
     """Sum of m(mu) over positive roots mu on the line of H.
 
@@ -124,7 +131,7 @@ def nullity_upper_bound(pair, H: RootVec) -> int:
     if H.is_zero():
         raise ValueError("H must be nonzero")
     return sum(
-        pair.multiplicity(mu)
+        multiplicity(pair, mu)
         for mu in pair.system().positive_roots
         if is_parallel(mu, H)
     )

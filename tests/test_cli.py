@@ -161,6 +161,28 @@ class TestClassifyCommand:
         assert code == 1
         assert "orthogonal" in err
 
+    @pytest.mark.parametrize("pair,vector,label", [
+        ("e6|f4", "2,0,1", "A2"),
+        ("su(p+1)|so(p+1)", "1,0,0", "A2"),
+        ("g2|so(4)", "1,1,1", "G2"),
+        ("e7|su(8)", "0,0,0,0,0,0,1,1", "E7"),
+        ("e6|sp(4)", "0,0,0,0,0,1,0,0", "E6"),
+    ])
+    def test_a_point_outside_the_root_span(self, run, pair, vector, label):
+        # (2, 0, 1) projects onto the long root (1, -1, 0) of A2; the rest,
+        # (1, 1, 1), lies along no root and is orthogonal to every one.
+        code, out, err = run("classify", "--pair", pair, "--root", vector)
+        assert (code, out) == (1, "")
+        shown = vector.replace(",", ", ")
+        assert err == f"error: RootVec({shown}) is not in the span of the roots of {label}\n"
+
+    def test_a_normal_outside_the_root_span(self, run):
+        code, out, err = run(
+            "classify", "--pair", "g2|so(4)", "--root", "short", "--xi", "1,1,1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: RootVec(1, 1, 1) is not in the span of the roots of G2\n"
+
     def test_rank_above_the_cap(self, run):
         start = time.perf_counter()
         code, out, err = run(
@@ -346,6 +368,70 @@ class TestUserSuppliedDatabase:
         code, out, err = run("--pairs", str(path), "table1")
         assert (code, out) == (2, "")
         assert err == "toy(p+1)|toy(p): table value is not affine in (p, n)\n"
+
+
+class TestFixedRankFamilyWithN:
+    """A family of fixed rank with an n parameter is walked over the n grid."""
+
+    G2_N = (
+        "pair g2|toy(n)\n"
+        "  g g2\n"
+        "  k toy(n)\n"
+        "  type G2 2\n"
+        "  params n 1 *\n"
+        "  mult short n\n"
+        "  mult long 1\n"
+        "  dim_m 3*n+5\n"
+        "end\n"
+    )
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.G2_N)
+        return str(path)
+
+    @staticmethod
+    def classified(run, path, n, orbit):
+        code, out, _ = run(
+            "--pairs", path, "--format", "json",
+            "classify", "--pair", "g2|toy(n)", "--n", str(n), "--root", orbit,
+        )
+        assert code == 0
+        return json.loads(out)
+
+    def test_table1_has_a_row_per_n(self, run, path):
+        code, out, err = run(
+            "--pairs", path, "--format", "json",
+            "table1", "--p-range", "2:3", "--n-range", "1:2",
+        )
+        assert (code, err) == (0, "")
+        # A table's JSON holds its cells as text, p empty for an unused p.
+        rows = json.loads(out)
+        assert [(row["k"], row["p"], row["n"]) for row in rows] == [
+            ("toy(1)", "", "1"), ("toy(2)", "", "2")
+        ]
+        for row in rows:
+            want = self.classified(run, path, row["n"], "highest")
+            assert (row["l"], row["r"], row["l-r"]) == (
+                str(want["l"]), str(want["r"]), str(want["nullity"])
+            )
+
+    def test_scan_has_two_rows_per_n(self, run, path):
+        code, out, err = run(
+            "--pairs", path, "--format", "json",
+            "ferus", "--scan", "--p-range", "2:3", "--n-range", "1:3",
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert [(row["p"], row["n"], row["orbit"]) for row in rows] == [
+            ("", str(n), orbit) for n in (1, 2, 3) for orbit in ("long", "short")
+        ]
+        for row in rows:
+            want = self.classified(run, path, row["n"], row["orbit"])
+            assert (row["degenerate"], row["l"], row["r"]) == (
+                json.dumps(want["degenerate"]), str(want["l"]), str(want["r"])
+            )
 
 
 class TestPairsCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 from importlib import resources
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaussorbits import orbits, pairdb, rootsys
 from gaussorbits.pairdb import PairsFormatError
+import reference
 from reference import rootvec, simple_coefficients
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
@@ -17,7 +19,7 @@ def db():
 
 class TestLoad:
     def test_family_count(self, db):
-        assert len(db) == 31
+        assert len(db.families) == 31
 
     def test_lookup_e6_f4(self, db):
         fam = db.get("e6|f4")
@@ -44,9 +46,8 @@ class TestLoad:
             db.get("su(9)|nothing")
 
     def test_name_rendering(self, db):
-        pair = db.get("so(2p+n)|so(p)+so(p+n)").instantiate(p=3, n=2)
-        assert pair.g_name == "so(8)"
-        assert pair.k_name == "so(3)+so(5)"
+        fam = db.get("so(2p+n)|so(p)+so(p+n)")
+        assert fam.names(3, 2) == ("so(8)", "so(3)+so(5)")
 
     def test_parameter_bounds(self, db):
         fam = db.get("so(2p)|so(p)+so(p)")
@@ -84,14 +85,15 @@ class TestRestrictedSystem:
     def test_group_manifold_b(self, db):
         pair = db.get("so(2p+1)^2|so(2p+1)").instantiate(p=3)
         system = pair.system()
-        assert all(pair.multiplicity(v) == 2 for v in system.positive_roots)
+        assert all(reference.multiplicity(pair, v) == 2 for v in system.positive_roots)
 
     def test_multiplicity_totals_match_dim_m(self, db):
         for fam in db:
+            dim_m = pairdb.compile_expr(fam.dim_m_expr)
             for pair in fam.instantiations(p_range=(2, 6), n_range=(1, 4)):
                 system = pair.system()
-                total = sum(pair.multiplicity(v) for v in system.positive_roots)
-                assert total + system.rank == pair.dim_m
+                total = sum(reference.multiplicity(pair, v) for v in system.positive_roots)
+                assert total + system.rank == dim_m(pair.p, pair.n)
 
     def test_orbit_dimension_agrees_with_face_complement(self, db):
         # second route: l = total - sum over the positives orthogonal to H
@@ -121,8 +123,8 @@ def orthogonal_positives(system, H):
 
 def complement_dimension(pair, orthogonal):
     """l by the face complement: every multiplicity minus those orthogonal to H."""
-    total = sum(pair.multiplicity(mu) for mu in pair.system().positive_roots)
-    return total - sum(pair.multiplicity(mu) for mu in orthogonal)
+    total = sum(reference.multiplicity(pair, mu) for mu in pair.system().positive_roots)
+    return total - sum(reference.multiplicity(pair, mu) for mu in orthogonal)
 
 
 class TestOrbitDimension:
@@ -135,7 +137,7 @@ class TestOrbitDimension:
         pair = db.get("e6|so(10)+r").instantiate()
         system = pair.system()
         interior = sum(system.fundamental_coweights(), rootvec(0, 0))
-        total = sum(pair.multiplicity(v) for v in system.positive_roots)
+        total = sum(reference.multiplicity(pair, v) for v in system.positive_roots)
         assert orbits.classify(pair, interior).l == total
 
     def test_zero_rejected(self, db):
@@ -232,6 +234,56 @@ class TestFileFormat:
     def test_flags_validated(self):
         bad = self.RECORD.replace("  dim_m", "  flags shiny\n  dim_m")
         with pytest.raises(PairsFormatError, match="unknown flags"):
+            pairdb.parse_database(bad)
+
+
+class TestInstantiations:
+    """A pair is its family at (p, n); the grid is the p axis times the n axis."""
+
+    G2_N = (
+        "pair g2|toy(n)\n  g g2\n  k toy(n)\n  type G2 2\n  params n 1 *\n"
+        "  mult short n\n  mult long 1\n  dim_m 3*n+5\nend\n"
+    )
+    B_BOUNDED = (
+        "pair x|y(n)\n  g x\n  k y(n)\n  type B p\n  params p 2 3\n  params n 0 *\n"
+        "  mult e_i n+1\n  mult e_i+-e_j 1\n  dim_m p*(p+n+1)\nend\n"
+    )
+
+    def test_a_pair_holds_its_family(self, db):
+        fam = db.get("so(2p+n)|so(p)+so(p+n)")
+        pair = fam.instantiate(p=3, n=2)
+        assert [f.name for f in dataclasses.fields(pairdb.Pair)] == [
+            "family", "rstype", "mult_by_class", "p", "n"
+        ]
+        assert pair.family is fam
+        assert pair.label() == "so(2p+n)|so(p)+so(p+n) [p=3,n=2]"
+        assert db.get("e6|f4").instantiate(p=3, n=2).label() == "e6|f4"
+
+    def test_fixed_rank_walks_the_n_axis(self):
+        fam = pairdb.parse_database(self.G2_N).get("g2|toy(n)")
+        pairs = list(fam.instantiations(p_range=(2, 3), n_range=(0, 3)))
+        assert [(pair.p, pair.n) for pair in pairs] == [(None, 1), (None, 2), (None, 3)]
+        assert [pair.mult_by_class for pair in pairs] == [
+            (("short", n), ("long", 1)) for n in (1, 2, 3)
+        ]
+        assert fam.names(None, 3) == ("g2", "toy(3)")
+
+    def test_fixed_rank_n_axis_is_capped(self):
+        fam = pairdb.parse_database(self.G2_N).get("g2|toy(n)")
+        span = pairdb.MAX_N_SPAN + 1
+        with pytest.raises(ValueError, match=f"n range 1:{span} has {span} values"):
+            next(fam.instantiations(p_range=(2, 3), n_range=(0, span)))
+
+    def test_an_empty_p_axis_leaves_the_n_axis_unwalked(self):
+        fam = pairdb.parse_database(self.B_BOUNDED).get("x|y(n)")
+        assert list(fam.instantiations(p_range=(4, 9), n_range=(0, 10**30))) == []
+        huge = 10**30 + 1
+        with pytest.raises(ValueError, match=f"n range 0:{10**30} has {huge} values"):
+            next(fam.instantiations(p_range=(2, 9), n_range=(0, 10**30)))
+
+    def test_a_name_is_checked_at_load(self):
+        bad = self.B_BOUNDED.replace("  k y(n)", "  k y(n/0)")
+        with pytest.raises(PairsFormatError, match=r"^line 1: .* divides by zero$"):
             pairdb.parse_database(bad)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
+from exact_linalg import rref
 from gaussorbits import rootsys as rs
 from gaussorbits.rootsys import RootVec
 from reference import rootvec, simple_coefficients
@@ -430,6 +431,30 @@ class TestNegation:
             assert -neg == v and hash(-neg) == hash(v)
             assert system.contains(neg)
             assert system.class_index(neg) == system.class_index(v)
+
+
+class TestNormals:
+    """The normals complete the simple roots to a basis of the ambient space."""
+
+    @pytest.mark.parametrize("family,rank", ALL_TYPES + [("A", 30)])
+    def test_normals_are_orthogonal_and_complete(self, family, rank):
+        system = rs.build(family, rank)
+        for normal in system.normals:
+            assert all(x.denominator == 1 for x in normal.coords)
+            for alpha in system.simple_roots:
+                assert rs.is_orthogonal(normal, alpha), (normal, alpha)
+        _, pivots = rref([v.coords for v in system.simple_roots + system.normals])
+        assert len(pivots) == system.ambient_dim
+        assert len(system.normals) == system.ambient_dim - system.rank
+
+    def test_the_normals_of_each_family(self):
+        assert rs.build("A", 3).normals == (rootvec(1, 1, 1, 1),)
+        assert rs.build("G2").normals == (rootvec(1, 1, 1),)
+        e7_e8 = rootvec(0, 0, 0, 0, 0, 0, 1, 1)
+        assert rs.build("E7").normals == (e7_e8,)
+        assert rs.build("E6").normals == (e7_e8, rootvec(0, 0, 0, 0, 0, 1, -1, 0))
+        for family, rank in (("B", 3), ("C", 3), ("D", 4), ("BC", 3), ("F4", 4), ("E8", 8)):
+            assert rs.build(family, rank).normals == ()
 
 
 HEIGHT_TYPES = ALL_TYPES + [(f, 12) for f in ("B", "C", "BC")]
