@@ -180,8 +180,17 @@ def sum_lands_on_delta(datum: ProjectionDatum) -> bool:
     """When two ratio-1/2 roots sum to a root, that root is the highest one."""
     system, mp = datum.ambient, datum.m_plus
     delta = system.highest_root
+    lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
+    norms = [lengths[system.class_index(a)] for a in mp]
     for i, a in enumerate(mp):
-        for b in mp[i:]:
+        for j in range(i, len(mp)):
+            # a + b can be a root only when |a + b|^2 = |a|^2 + |b|^2 + 2<a, b>,
+            # which is square / den, is a class length.
+            b = mp[j]
+            den = a._den * b._den
+            square = (norms[i] + norms[j]) * den + 2 * _dot_sign_num(a, b)
+            if square % den or square // den not in lengths:
+                continue
             s = a + b
             if system.contains_positive(s) and s != delta:
                 return False

@@ -26,6 +26,10 @@ RULE_SHORT_NON_G2 = "ShortRootNonG2"
 
 ORBIT_SPECS = ("highest", "long", "short", "middle")
 
+# The families whose Weyl group is every signed permutation (B, C, BC) or
+# those with an even number of sign changes (D); see weyl_fold.
+_SIGNED_PERMUTATIONS = frozenset(("B", "C", "BC", "D"))
+
 
 @dataclass(frozen=True)
 class OrbitReport:
@@ -51,17 +55,39 @@ class OrbitReport:
 def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
     """The closed-chamber representative of the Weyl orbit of H.
 
-    Reflects in the first simple root with a negative pairing until none
-    is left.  The walk runs on one list of numerators over a common
-    denominator: with n / m = 2<V, A> / <A, A> in lowest terms, as in
-    `rootsys.reflect`, a reflection is V -> m V - n A, which touches only
-    the support of A when m is 1.  It visits the same rational vectors as
-    repeated `reflect` calls, and builds one RootVec at the end.
+    Each Weyl orbit meets the closed chamber in exactly one point.  For
+    the classical families the Weyl group acts by signed permutations of
+    the coordinates (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates
+    I-IV; Humphreys, Reflection Groups and Coxeter Groups, 2.10), so that
+    point is a sort:
+      - A (simple roots e_i - e_i+1): the coordinates in descending order;
+      - B, C, BC (all sign changes): their absolute values, descending;
+      - D (even sign changes only): the same, with the last entry negated
+        when H has an odd number of negative entries.  With a zero entry
+        the last one is 0 and the flip changes nothing, as it must: a sign
+        change of that coordinate fixes the parity.
+    A signed permutation keeps H's numerators in lowest terms over its
+    denominator.
+
+    E6-E8, F4 and G2 reflect in the first simple root with a negative
+    pairing until none is left.  The walk runs on one list of numerators
+    over a common denominator: with n / m = 2<V, A> / <A, A> in lowest
+    terms, as in `rootsys.reflect`, a reflection is V -> m V - n A, which
+    touches only the support of A when m is 1.  It visits the same rational
+    vectors as repeated `reflect` calls, and builds one RootVec at the end.
     """
     if H.is_zero():
         raise ValueError("H must be nonzero")
     if H.dim != system.ambient_dim:
         raise ValueError(f"dimension mismatch: {H.dim} vs {system.ambient_dim}")
+    family = system.rstype.family
+    if family == "A":
+        return rootsys._reduced(tuple(sorted(H._num, reverse=True)), H._den)
+    if family in _SIGNED_PERMUTATIONS:
+        num = sorted(map(abs, H._num), reverse=True)
+        if family == "D" and sum(x < 0 for x in H._num) % 2:
+            num[-1] = -num[-1]
+        return rootsys._reduced(tuple(num), H._den)
     num, den = list(H._num), H._den
     while True:
         for support in system.simple_support:
@@ -113,7 +139,8 @@ def _orbit_facts(system: RootSystem, H: RootVec):
     for each new (system, walls).  A root t H on the line of H is dominant,
     hence positive, with t = sqrt(L / |H|^2) for its class length L; so lam
     is found by looking up t H for each L, longest first, that makes t
-    rational.  An H outside the closed chamber raises ValueError.
+    rational.  An H outside the closed chamber, which a wrong fold would
+    give, raises ValueError.
     """
     num = H._num
     walls = []
@@ -219,16 +246,17 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     pair-free facts by (system, folded ray); the rest is computed per call.
     """
     system = pair.system()
-    memo = {} if memo is None else memo
     # Keys are folded primitive rays, which fold onto themselves.
-    facts = memo.get((system, H))
+    facts = None if memo is None else memo.get((system, H))
     if facts is None:
         folded = weyl_fold(system, H)  # refuses a zero or misdimensioned H first
         _check_span(system, H)
         H = rootsys.primitive_ray(folded)
-        if (system, H) not in memo:
-            memo[system, H] = _orbit_facts(system, H)
-        facts = memo[system, H]
+        facts = None if memo is None else memo.get((system, H))
+        if facts is None:
+            facts = _orbit_facts(system, H)
+            if memo is not None:
+                memo[system, H] = facts
     counts, lam, c, ab = facts
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
     l = sum(count * m for count, (_, m) in zip(counts, pair.mult_by_class))

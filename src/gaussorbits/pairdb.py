@@ -12,6 +12,7 @@ is what every table value in this package is computed from.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import operator
 import re
@@ -41,6 +42,11 @@ _OPS = {
 }
 
 
+def _quoted(text: str) -> str:
+    # Messages quote a long text only in part, to stay one short line.
+    return repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
+
+
 def compile_expr(text: str):
     """Parse an integer-valued arithmetic expression in p and n once.
 
@@ -52,8 +58,7 @@ def compile_expr(text: str):
     at each evaluation.
     """
     src = re.sub(r"(\d)\s*([pn(])", r"\1*\2", text)
-    # Messages quote a long expression only in part, to stay one short line.
-    shown = repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
+    shown = _quoted(text)
 
     def fail(message):
         def raise_error(env):
@@ -109,10 +114,23 @@ def _expr_uses(text: str, name: str) -> bool:
 
 
 _NAME_PART = re.compile(r"\(([0-9pn+\-*/ ]+)\)")
+# An opening parenthesis inside another: "so(2(p+1))".
+_NESTED = re.compile(r"\([^()]*\(")
 
 
 def compile_name(name: str):
-    """Parse a display name once; f(p, n) instantiates its parenthesized parts."""
+    """Parse a display name once; f(p, n) instantiates its parenthesized parts.
+
+    A part is an expression in one pair of parentheses.  A name that nests
+    them would render only its innermost part, so f refuses it with a
+    one-line ValueError, as compile_expr's f refuses a bad expression.
+    """
+    if _NESTED.search(name):
+        message = f"name {_quoted(name)} nests parentheses"
+
+        def refuse(p: int | None = None, n: int | None = None) -> str:
+            raise ValueError(message)
+        return refuse
     parts = _NAME_PART.split(name)  # text, expression, text, ..., text
     exprs = [compile_expr(part) for part in parts[1::2]]
 
@@ -149,6 +167,12 @@ class Pair:
         return rootsys.build(self.rstype)
 
     def label(self) -> str:
+        """The family key and the parameters in use, "key [p=3,n=1]"."""
+        return self._label
+
+    @functools.cached_property
+    def _label(self) -> str:
+        # Rendered on first use and kept: classify reads it for every report.
         params = [f"p={self.p}" if self.p is not None else "",
                   f"n={self.n}" if self.n is not None else ""]
         params = ",".join(x for x in params if x)

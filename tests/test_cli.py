@@ -336,6 +336,15 @@ class TestUserSuppliedDatabase:
         assert err.startswith("error: line 8: expression 'p+p+p")
         assert err.count("\n") == 1 and len(err) < 120
 
+    @pytest.mark.parametrize("name", ["toy(2(p+1))", "y(n/(p-p))"])
+    def test_name_with_nested_parentheses(self, run, tmp_path, name):
+        # Only the innermost part would be evaluated: "toy(2(4))" at p = 3.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.CUSTOM.replace("  k toy(p)\n", f"  k {name}\n"))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: name {name!r} nests parentheses\n"
+
     # One A_p family with multiplicity m; dim_m = p(p+1)/2 * m + p stays
     # consistent with it.
     A_FAMILY = (

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -142,6 +143,71 @@ class TestFoldReference:
             assert folded[-1] == _dense_fold(system, H), (system, H)
         if family not in ("B", "C"):
             assert any(v._den > den for v in folded)
+
+
+@st.composite
+def _classical_points(draw):
+    # (system, H) for a classical system of rank <= 8: H over a drawn
+    # denominator, with zero entries; in D, a drawn parity of negative
+    # entries with or without a zero entry; in A, mostly outside the root
+    # span (its coordinates need not sum to zero).
+    family = draw(st.sampled_from(("A", "B", "C", "BC", "D")))
+    system = rootsys.build(family, draw(st.integers(2 if family == "D" else 1, 8)))
+    dim = system.ambient_dim
+    den = draw(st.sampled_from((1, 2, 3, 6)))
+    num = draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim))
+    if family == "D":
+        num = [abs(x) or 1 for x in num]
+        if draw(st.booleans(), label="with a zero entry"):
+            num[draw(st.integers(0, dim - 1))] = 0
+        for i in draw(st.sets(st.integers(0, dim - 1))):
+            num[i] = -num[i]
+        if sum(x < 0 for x in num) % 2 != draw(st.integers(0, 1), label="odd negatives"):
+            i = next(i for i, x in enumerate(num) if x)
+            num[i] = -num[i]
+    assume(any(num))
+    return system, RootVec([Fraction(x, den) for x in num])
+
+
+class TestClassicalFold:
+    # weyl_fold sorts signed coordinates in A, B, C, BC and D.
+
+    @pytest.mark.parametrize("family,rank,coords,chamber", [
+        ("A", 3, (1, -2, 3, 0), (3, 1, 0, -2)),
+        ("A", 2, ("1/2", "3/2", "-1/2"), ("3/2", "1/2", "-1/2")),
+        ("B", 3, ("-1/2", "3/2", 0), ("3/2", "1/2", 0)),
+        ("C", 2, (-3, -1), (3, 1)),
+        ("BC", 3, (0, -2, 1), (2, 1, 0)),
+        ("D", 3, (1, -2, 3), (3, 2, -1)),
+        ("D", 3, (-1, -2, 3), (3, 2, 1)),
+        ("D", 3, (0, -2, 3), (3, 2, 0)),
+        ("D", 4, ("-1/3", 2, -3, "4/3"), (3, 2, "4/3", "1/3")),
+        ("D", 4, ("-1/3", 2, 3, "4/3"), (3, 2, "4/3", "-1/3")),
+    ])
+    def test_hand_folds(self, family, rank, coords, chamber):
+        system = rootsys.build(family, rank)
+        H = RootVec(map(Fraction, coords))
+        want = RootVec(map(Fraction, chamber))
+        assert orbits.weyl_fold(system, H) == want == _dense_fold(system, H)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_classical_points())
+    def test_matches_the_dense_fold(self, case):
+        system, H = case
+        assert orbits.weyl_fold(system, H) == _dense_fold(system, H)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.lists(st.integers(-6, 6), min_size=9, max_size=9),
+           st.sampled_from((1, 2, 3)))
+    def test_classify_refuses_a_point_outside_the_span_of_a(self, db, rank, num, den):
+        # su(p+1)|so(p+1) has restricted system A_p in p + 1 coordinates.
+        assume(sum(num[: rank + 1]))
+        pair = db.get("su(p+1)|so(p+1)").instantiate(p=rank)
+        H = RootVec([Fraction(x, den) for x in num[: rank + 1]])
+        assert orbits.weyl_fold(pair.system(), H) == _dense_fold(pair.system(), H)
+        message = f"{H!r} is not in the span of the roots of A{rank}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            orbits.classify(pair, H)
 
 
 def _dense_orbit_facts(system, H):
@@ -578,6 +644,25 @@ class TestClassify:
         pair = db.get("e6|f4").instantiate()
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
             orbits.classify(pair, rootvec(1, 0))
+
+    def test_a_pair_renders_its_label_once(self, db):
+        # The label is the only reader of family.key on the report path.
+        class CountingFamily:
+            def __init__(self, family):
+                self.family, self.reads = family, 0
+
+            @property
+            def key(self):
+                self.reads += 1
+                return self.family.key
+
+        pair = db.get("so(2p+n)|so(p)+so(p+n)").instantiate(p=3, n=2)
+        counting = CountingFamily(pair.family)
+        counted = replace(pair, family=counting)
+        points = [orbits.resolve_orbit(pair, spec) for spec in ("long", "short")]
+        reports = [orbits.classify(counted, points[i % 2]) for i in range(1000)]
+        assert counting.reads == 1
+        assert {rep.pair for rep in reports} == {"so(2p+n)|so(p)+so(p+n) [p=3,n=2]"}
 
     def test_ab_outside_the_rule_is_invariant_violation(self, db, monkeypatch):
         # (a) and (b) are sufficient for degeneracy, so a root that passes
