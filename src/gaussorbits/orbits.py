@@ -194,6 +194,8 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
     lam_length = lengths[system.class_index(lam)]
     passing = {c for c, length in enumerate(lengths) if lam_length + length in lengths}
+    if not passing:
+        return True
     # Walked from the top: a short lam's witness sits there (e_1 - e_2 for
     # lam = e_1 + e_2 in C_p), and the answer does not depend on the order.
     for nu, c in zip(reversed(system.positive_roots), reversed(system.positive_classes)):

@@ -3,9 +3,9 @@
 Root systems are realised in their standard Bourbaki coordinates (type A
 keeps the p+1 zero-sum coordinates, E8 uses half-integer entries).  A
 vector is stored as integers over one common denominator; the
-construction of the roots, arithmetic, hashing, reflection, the sort of
-the roots, their squared lengths and classes, and the simple-root
-coefficients run on those integers.  `fractions.Fraction` appears at the
+construction of the roots, arithmetic, hashing, reflection, the
+reflection closure, the sort of the roots, their squared lengths and
+classes, and the simple-root coefficients run on those integers.  `fractions.Fraction` appears at the
 API edge (the `RootVec` constructor and `coords`, the scalar of `*`,
 `inner` and `norm_sq`, `sort_key` of a non-integral vector).  So every
 membership, orthogonality and proportionality test in this package is
@@ -184,11 +184,11 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
 # Largest rank a system is built at, a guard against runaway input.  A
 # build's time grows between the square and the cube of the rank; in a
-# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 5):
+# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 7):
 #   rank     A        B        C        BC
-#    30    0.003 s  0.005 s  0.005 s  0.005 s
-#    50    0.010 s  0.020 s  0.020 s  0.020 s
-#    70    0.024 s  0.049 s  0.049 s  0.050 s
+#    30    0.002 s  0.004 s  0.004 s  0.004 s
+#    50    0.008 s  0.014 s  0.014 s  0.014 s
+#    70    0.017 s  0.027 s  0.029 s  0.035 s
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
@@ -305,23 +305,30 @@ class RootSystem:
             ),
         )
         # Sort on integers: every numerator scaled to the common denominator
-        # of the roots, read in significance order.
+        # of the roots, read in significance order (the numerator tuple
+        # itself for an integral system read first-coordinate-first).
+        # Squared lengths are ints, a Fraction only for a non-integral one,
+        # equal to the Fractions norm_sq gives.
         den = lcm(*(v._den for v in positive_roots))
         if den == 1:
-            get = operator.itemgetter(*significance)
-            positive = tuple(sorted(positive_roots, key=lambda v: get(v._num)))
+            numerators = operator.attrgetter("_num")
+            if tuple(significance) == tuple(range(ambient_dim)):
+                key = numerators
+            else:
+                get = operator.itemgetter(*significance)
+                key = lambda v: get(v._num)
+            positive = tuple(sorted(positive_roots, key=key))
+            norms = [sum(map(operator.mul, n, n)) for n in map(numerators, positive)]
         else:
             positive = tuple(sorted(
                 positive_roots,
                 key=lambda v: tuple(v._num[i] * (den // v._den) for i in significance),
             ))
+            norms = []
+            for v in positive:
+                n, d2 = _dot_sign_num(v, v), v._den * v._den
+                norms.append(Fraction(n, d2) if n % d2 else n // d2)
         object.__setattr__(self, "positive_roots", positive)
-        # Squared lengths as ints (a Fraction only for a non-integral one),
-        # equal to the Fractions norm_sq gives.
-        norms = []
-        for v in positive:
-            n, d2 = _dot_sign_num(v, v), v._den * v._den
-            norms.append(Fraction(n, d2) if n % d2 else n // d2)
         # Class index into CLASSES[family] of each positive root; None for a
         # length no class has, which _check_build rejects.
         index = {length: i for i, (_, length, _) in enumerate(CLASSES[rstype.family])}
@@ -443,19 +450,24 @@ def _vec(dim: int, *entries) -> RootVec:
     return _reduced(tuple(num), 1)
 
 
-def _pair_roots(p: int, signs=(1, -1)) -> list[RootVec]:
-    # e_i + s e_j for i < j and each s in signs: one tuple and one RootVec
-    # per root.
+@lru_cache(maxsize=None)
+def _signed_pairs(p: int, s: int) -> tuple[RootVec, ...]:
+    # e_i + s e_j for i < j, built once per (dimension, sign), so the systems
+    # of one dimension hold the same RootVecs.
     zero = [0] * p
     out = []
     for i in range(p):
         for j in range(i + 1, p):
-            for s in signs:
-                num = zero.copy()
-                num[i] = 1
-                num[j] = s
-                out.append(_reduced(tuple(num), 1))
-    return out
+            num = zero.copy()
+            num[i] = 1
+            num[j] = s
+            out.append(_reduced(tuple(num), 1))
+    return tuple(out)
+
+
+def _pair_roots(p: int, signs=(1, -1)) -> list[RootVec]:
+    # e_i + s e_j for i < j and each s in signs, in a list of the caller's own.
+    return [v for s in signs for v in _signed_pairs(p, s)]
 
 
 def _classical_simple(p: int) -> list[RootVec]:
@@ -570,20 +582,47 @@ def reflect(v: RootVec, alpha: RootVec) -> RootVec:
     )
 
 
-def reflection_closure(simple_roots, limit: int) -> set[RootVec]:
+def reflection_closure(system: RootSystem, den: int, limit: int) -> set[tuple[int, ...]]:
     """All vectors reachable from the simple roots by simple reflections.
 
-    For a reduced system this is the full root set; used as the
-    independent cross-check against the explicit Bourbaki lists.  The
+    Each vector is its numerator tuple over den, a common multiple of the
+    simple roots' denominators.  For a reduced system this is the full
+    root set; used as the independent cross-check against the explicit
+    Bourbaki lists.  A reflection of V in the simple root A is
+    V - <V, A^vee> A, with the Cartan number <V, A^vee> = 2<V, A>/<A, A>
+    taken on A's support, as weyl_fold's walk does.  A non-integral Cartan
+    number, which no root system has, raises InvariantViolation.  The
     search stops once it holds more than `limit` vectors.
     """
-    roots = set(simple_roots)
-    frontier = set(simple_roots)
+    supports = [
+        tuple((k, x * (den // alpha._den)) for k, x in support)
+        for alpha, support in zip(system.simple_roots, system.simple_support)
+    ]
+    norms = [sum(x * x for _, x in support) for support in supports]
+    frontier = {
+        tuple(x * (den // alpha._den) for x in alpha._num) for alpha in system.simple_roots
+    }
+    roots = set(frontier)
     while frontier and len(roots) <= limit:
         new = set()
         for v in frontier:
-            for alpha in simple_roots:
-                w = reflect(v, alpha)
+            for alpha, support, norm in zip(system.simple_roots, supports, norms):
+                dot = 0
+                for k, x in support:
+                    dot += x * v[k]
+                if not dot:
+                    continue
+                n, r = divmod(2 * dot, norm)
+                if r:
+                    raise InvariantViolation(
+                        f"{system.rstype.label()}: Cartan number {Fraction(2 * dot, norm)} "
+                        f"of {RootVec._raw(v, den)!r} and simple root {alpha!r} "
+                        "is not an integer"
+                    )
+                w = list(v)
+                for k, x in support:
+                    w[k] -= n * x
+                w = tuple(w)
                 if w not in roots:
                     new.add(w)
         roots |= new
@@ -668,17 +707,23 @@ def _check_build(system: RootSystem) -> None:
     if rank > 8:
         return
     # Independent reconstruction: reflection closure of the simple roots,
-    # doubling the short roots in the non-reduced case.  The closure of a
+    # doubling the short roots in the non-reduced case, on numerators over
+    # one denominator of every simple and positive root.  The closure of a
     # root system holds at most 2|R+| vectors (BC's is B's, which is fewer).
     limit = 2 * len(system.positive_roots)
-    closure = reflection_closure(system.simple_roots, limit)
-    key = system.sort_key
-    zero_key = (0,) * system.ambient_dim
-    pos = {v for v in closure if key(v) > zero_key}
+    den = lcm(*(v._den for v in system.simple_roots + system.positive_roots))
+    closure = reflection_closure(system, den, limit)
+    get = operator.itemgetter(*system.significance)
+    zero = get((0,) * system.ambient_dim)
+    pos = {v for v in closure if get(v) > zero}
     if family == "BC":
-        shortest = min(norm_sq(v) for v in pos)
-        pos |= {2 * v for v in pos if norm_sq(v) == shortest}
-    if len(closure) > limit or pos != system._class_of.keys():
+        shortest = min(sum(x * x for x in v) for v in pos)
+        pos |= {tuple(2 * x for x in v) for v in pos if sum(x * x for x in v) == shortest}
+    listed = {
+        v._num if v._den == den else tuple(x * (den // v._den) for x in v._num)
+        for v in system.positive_roots
+    }
+    if len(closure) > limit or pos != listed:
         raise InvariantViolation(
             f"{label}: reflection closure disagrees with the explicit root list"
         )

@@ -42,9 +42,18 @@ MUTANTS = (
      "if False:",
      "tests/test_rootsys.py::TestIntegerOrder::test_wrong_highest_root_is_invariant_violation"),
     ("rootsys.py",
-     "if len(closure) > limit or pos != system._class_of.keys():",
+     "if len(closure) > limit or pos != listed:",
      "if False:",
      "tests/test_rootsys.py::TestCheckBuild::test_reflection_closure_disagreement"),
+    # rootsys.reflection_closure, reached through _check_build
+    ("rootsys.py",
+     "                if r:\n",
+     "                if False:\n",
+     "tests/test_rootsys.py::TestCheckBuild::test_a_non_integral_cartan_number"),
+    ("rootsys.py",
+     "while frontier and len(roots) <= limit:",
+     "while frontier:",
+     "tests/test_rootsys.py::TestCheckBuild::test_reflection_closure_that_does_not_close"),
     # rootsys._heights, reached through _check_build
     ("rootsys.py",
      "            else:\n                raise InvariantViolation(\n"

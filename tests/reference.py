@@ -8,7 +8,9 @@ its lambda satisfies it by construction; the Wolf ratio, the
 delta-string depth and the nullity bound state facts of the paper's
 setting that the tests check against `rootsys` and `orbits`;
 `multiplicity` reads m(root) of a pair by its root, where the package
-reads it by class index.
+reads it by class index; `reflection_closure` is the closure of the
+simple roots under `rootsys.reflect`, which the package walks on
+integer numerators instead.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from functools import lru_cache
 
 from exact_linalg import rref
 
-from gaussorbits.rootsys import InvariantViolation, RootSystem, RootVec, inner, norm_sq
+from gaussorbits.rootsys import (
+    InvariantViolation, RootSystem, RootVec, inner, norm_sq, reflect,
+)
 
 
 def rootvec(*coords) -> RootVec:
@@ -51,6 +55,18 @@ def simple_coefficients(system: RootSystem, v: RootVec) -> tuple[Fraction, ...]:
     if any(sum(map(operator.mul, row, x)) for row in normals):
         raise ValueError(f"{v!r} is not in the span of the simple roots")
     return tuple(sum(map(operator.mul, row, x)) for row in coeffs)
+
+
+def reflection_closure(simple_roots, limit: int) -> set[RootVec]:
+    """All vectors reachable from the simple roots by `reflect` in them,
+    stopping once the set holds more than `limit` vectors."""
+    roots = set(simple_roots)
+    frontier = set(simple_roots)
+    while frontier and len(roots) <= limit:
+        new = {reflect(v, alpha) for v in frontier for alpha in simple_roots} - roots
+        roots |= new
+        frontier = new
+    return roots
 
 
 WOLF_ORTHOGONAL = "orthogonal"

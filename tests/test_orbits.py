@@ -455,6 +455,17 @@ class TestConditions:
             assert reference.cond_a(system, system.highest_root)
             assert orbits.cond_b(system, system.highest_root)
 
+    def test_a_long_root_passes_without_a_walk(self, monkeypatch):
+        # No class length plus a long one is a class length, so no nu can
+        # witness, and cond_b answers before pairing lam with any root.
+        def refuse(nu, lam):
+            raise AssertionError("cond_b walked R+ for a long root")
+
+        monkeypatch.setattr(orbits, "is_orthogonal", refuse)
+        for family, rank in [("B", 4), ("C", 3), ("BC", 3), ("F4", 4), ("G2", 2), ("E6", 6)]:
+            system = rootsys.build(family, rank)
+            assert orbits.cond_b.__wrapped__(system, system.highest_root)
+
     def test_non_root_rejected(self):
         system = rootsys.build("C", 2)
         with pytest.raises(ValueError, match="is not a root of C2"):

@@ -1,5 +1,5 @@
-import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -397,6 +397,39 @@ class TestReflect:
                 assert rs.reflect(v, alpha) == _reflect_reference(v, alpha)
 
 
+class TestReflectionClosure:
+    """The integer closure against `reference.reflection_closure`."""
+
+    @pytest.mark.parametrize("family,rank", ALL_TYPES)
+    def test_matches_the_reflect_reference(self, family, rank):
+        system = rs.build(family, rank)
+        den = lcm(*(v._den for v in system.simple_roots + system.positive_roots))
+        full = 2 * len(system.positive_roots)
+        # Over the build's denominator and a multiple of it, and with a
+        # small limit, which must stop both searches at the same round.
+        for scale, limit in ((1, full), (6, full), (1, 4)):
+            got = rs.reflection_closure(system, scale * den, limit)
+            assert {RootVec._raw(v, scale * den) for v in got} == reference.reflection_closure(
+                system.simple_roots, limit
+            )
+
+
+class TestSharedRoots:
+    def test_classical_systems_hold_one_object_per_root(self):
+        e12 = rootvec(1, 1, 0, 0, 0)
+        held = [
+            next(v for v in rs.build(family, 5).positive_roots if v == e12)
+            for family in ("B", "C", "BC", "D")
+        ]
+        assert all(v is held[0] for v in held)
+        # A4's e_1 - e_2 is the one of the rank-5 systems.
+        e1_e2 = [
+            next(v for v in rs.build(family, rank).positive_roots if v == rootvec(1, -1, 0, 0, 0))
+            for family, rank in (("A", 4), ("B", 5), ("D", 5))
+        ]
+        assert all(v is e1_e2[0] for v in e1_e2)
+
+
 class TestParallel:
     def test_parallel_pairs(self):
         assert reference.is_parallel(rootvec(2, -4), rootvec(-1, 2))
@@ -611,22 +644,77 @@ class TestCheckBuild:
 
     @pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 4), ("E8", 8)])
     def test_reflection_closure_that_does_not_close(self, monkeypatch, family, rank):
-        # A "reflection" that subtracts the multiple of alpha with its
-        # coordinates reversed is no isometry, so the closure never closes.
-        # The closure must stop by itself; the call budget only keeps a
-        # failing run of this test bounded.
-        budget = itertools.count(10_000, -1)
+        # The simple roots listed as the only positive roots, with the class
+        # counts patched to match: their closure is the whole system, more
+        # than 2|R+| of the listed roots, so the search must stop once it
+        # passes that limit, short of the whole system.
+        system = rs.build(family, rank)
+        simple = list(system.simple_roots)
+        highest = max(simple, key=system.sort_key)
+        classes = [
+            (tag, length, lambda p, k=sum(system.class_index(s) == i for s in simple): k)
+            for i, (tag, length, _) in enumerate(rs.CLASSES[family])
+        ]
+        monkeypatch.setitem(
+            rs._CONSTRUCTORS, family,
+            lambda p: (list(simple), list(simple), highest, system.significance),
+        )
+        monkeypatch.setitem(rs.CLASSES, family, tuple(classes))
+        closure, sizes = rs.reflection_closure, []
 
-        def reversed_alpha(v, alpha):
-            assert next(budget) > 0, "reflection closure did not stop"
-            flipped = RootVec(alpha.coords[::-1])
-            return v - (2 * rs.inner(v, alpha) / rs.norm_sq(alpha)) * flipped
+        def recorded(*args):
+            found = closure(*args)
+            sizes.append(len(found))
+            return found
 
-        monkeypatch.setattr(rs, "reflect", reversed_alpha)
+        monkeypatch.setattr(rs, "reflection_closure", recorded)
         rs._build_cached.cache_clear()
         try:
             with pytest.raises(rs.InvariantViolation, match="reflection closure disagrees"):
                 rs.build(family, rank)
+        finally:
+            rs._build_cached.cache_clear()
+        whole = reference.reflection_closure(simple, 2 * len(system.positive_roots))
+        assert 2 * len(simple) < sizes[0] < len(whole)
+
+    def test_a_non_integral_cartan_number(self, monkeypatch):
+        # A2 with alpha_2 doubled: 2<alpha_1, 2 alpha_2>/<2 alpha_2, 2 alpha_2>
+        # is -1/2, so the doubled vector is no root of any system with alpha_1.
+        build = rs._CONSTRUCTORS["A"]
+
+        def doubled(p):
+            simple, positive, highest, significance = build(p)
+            simple[-1] = 2 * simple[-1]
+            return simple, positive, highest, significance
+
+        monkeypatch.setitem(rs._CONSTRUCTORS, "A", doubled)
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(
+                rs.InvariantViolation,
+                match=r"A2: Cartan number -1/2 of RootVec\(1, -1, 0\) "
+                      r"and simple root RootVec\(0, 2, -2\) is not an integer",
+            ):
+                rs.build("A", 2)
+        finally:
+            rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
+    def test_an_edited_list_leaves_the_shared_roots(self, family):
+        # Each constructor returns a list of its own around the cached pair
+        # roots, so editing that list in place, as an edited constructor
+        # may, changes neither the cache nor a later build.
+        system = rs.build(family, 5)
+        dim = system.ambient_dim
+        shared = {s: rs._signed_pairs(dim, s) for s in (1, -1)}
+        _, positive, _, _ = rs._CONSTRUCTORS[family](5)
+        positive.clear()
+        for s, pairs in shared.items():
+            assert rs._signed_pairs(dim, s) is pairs
+            assert len(pairs) == dim * (dim - 1) // 2
+        rs._build_cached.cache_clear()
+        try:
+            assert rs.build(family, 5).positive_roots == system.positive_roots
         finally:
             rs._build_cached.cache_clear()
 
