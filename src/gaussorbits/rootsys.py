@@ -145,6 +145,19 @@ def _reduced(num: tuple[int, ...], den: int) -> RootVec:
     return obj
 
 
+def _over(v: RootVec, den: int) -> tuple[int, ...]:
+    # The numerators of v over den, a multiple of v's denominator.
+    return v._num if v._den == den else tuple(x * (den // v._den) for x in v._num)
+
+
+def _simple_supports(system: "RootSystem", den: int) -> list[tuple[tuple[int, int], ...]]:
+    # Each simple root's nonzero (index, numerator) pairs, numerators over den.
+    return [
+        tuple((k, x * (den // alpha._den)) for k, x in support)
+        for alpha, support in zip(system.simple_roots, system.simple_support)
+    ]
+
+
 def inner(a: RootVec, b: RootVec) -> Fraction:
     """Exact Euclidean inner product."""
     if a.dim != b.dim:
@@ -310,19 +323,14 @@ class RootSystem:
         # Squared lengths are ints, a Fraction only for a non-integral one,
         # equal to the Fractions norm_sq gives.
         den = lcm(*(v._den for v in positive_roots))
-        if den == 1:
+        if den == 1 and tuple(significance) == tuple(range(ambient_dim)):
             numerators = operator.attrgetter("_num")
-            if tuple(significance) == tuple(range(ambient_dim)):
-                key = numerators
-            else:
-                get = operator.itemgetter(*significance)
-                key = lambda v: get(v._num)
-            positive = tuple(sorted(positive_roots, key=key))
+            positive = tuple(sorted(positive_roots, key=numerators))
             norms = [sum(map(operator.mul, n, n)) for n in map(numerators, positive)]
         else:
             positive = tuple(sorted(
                 positive_roots,
-                key=lambda v: tuple(v._num[i] * (den // v._den) for i in significance),
+                key=lambda v: tuple(map(_over(v, den).__getitem__, significance)),
             ))
             norms = []
             for v in positive:
@@ -405,7 +413,7 @@ class RootSystem:
         sums = [[0] * self.ambient_dim for _ in range(self.rank)]
         total = 0
         for beta, coeffs in heights.items():
-            num = [(k, x * (e // beta._den)) for k, x in enumerate(beta._num) if x]
+            num = [(k, x) for k, x in enumerate(_over(beta, e)) if x]
             total += sum(x * x for _, x in num)
             for row, c in zip(sums, coeffs):
                 if c:
@@ -594,14 +602,9 @@ def reflection_closure(system: RootSystem, den: int, limit: int) -> set[tuple[in
     number, which no root system has, raises InvariantViolation.  The
     search stops once it holds more than `limit` vectors.
     """
-    supports = [
-        tuple((k, x * (den // alpha._den)) for k, x in support)
-        for alpha, support in zip(system.simple_roots, system.simple_support)
-    ]
+    supports = _simple_supports(system, den)
     norms = [sum(x * x for _, x in support) for support in supports]
-    frontier = {
-        tuple(x * (den // alpha._den) for x in alpha._num) for alpha in system.simple_roots
-    }
+    frontier = {_over(alpha, den) for alpha in system.simple_roots}
     roots = set(frontier)
     while frontier and len(roots) <= limit:
         new = set()
@@ -648,15 +651,10 @@ def _heights(system: RootSystem) -> dict[RootVec, tuple[int, ...]]:
     # beta - alpha_i is a subtraction on alpha_i's support and a lookup.
     e = lcm(*(v._den for v in system.positive_roots))
     units = {
-        tuple(x * (e // alpha._den) for x in alpha._num): tuple(
-            int(i == j) for j in range(system.rank)
-        )
+        _over(alpha, e): tuple(int(i == j) for j in range(system.rank))
         for i, alpha in enumerate(system.simple_roots)
     }
-    supports = [
-        tuple((k, x * (e // alpha._den)) for k, x in support)
-        for alpha, support in zip(system.simple_roots, system.simple_support)
-    ]
+    supports = _simple_supports(system, e)
     # <beta, alpha_i> is 0 unless alpha_i meets the support of beta.
     touching = [[] for _ in range(system.ambient_dim)]
     for i, support in enumerate(supports):
@@ -664,7 +662,7 @@ def _heights(system: RootSystem) -> dict[RootVec, tuple[int, ...]]:
             touching[k].append(i)
     walked, heights = {}, {}
     for beta in system.positive_roots:
-        num = beta._num if beta._den == e else tuple(x * (e // beta._den) for x in beta._num)
+        num = _over(beta, e)
         coeffs = units.get(num)
         if coeffs is None:
             for i in sorted({i for k, x in enumerate(num) if x for i in touching[k]}):
@@ -719,10 +717,7 @@ def _check_build(system: RootSystem) -> None:
     if family == "BC":
         shortest = min(sum(x * x for x in v) for v in pos)
         pos |= {tuple(2 * x for x in v) for v in pos if sum(x * x for x in v) == shortest}
-    listed = {
-        v._num if v._den == den else tuple(x * (den // v._den) for x in v._num)
-        for v in system.positive_roots
-    }
+    listed = {_over(v, den) for v in system.positive_roots}
     if len(closure) > limit or pos != listed:
         raise InvariantViolation(
             f"{label}: reflection closure disagrees with the explicit root list"
