@@ -11,17 +11,15 @@ is what every table value in this package is computed from.
 
 from __future__ import annotations
 
-import ast
 import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from . import rootsys
+from .expr import P, Polynomial, compile_expr, quoted
 from .rootsys import RootSystem, RootSystemType
 
 FLAGS = frozenset(
@@ -34,113 +32,16 @@ class PairsFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: lambda a, b: Fraction(a) / b,
-}
-
-
-def _quoted(text: str) -> str:
-    # Messages quote a long text only in part, to stay one short line.
-    return repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
-
-
-def compile_expr(text: str):
-    """Parse an integer-valued arithmetic expression in p and n once.
-
-    Returns a function f(p=None, n=None) giving its value.  Implicit
-    multiplication between a digit and p/n/'(' is accepted, so both
-    "4*p+2*n-7" and "4p+2n-7" work.  Every error, a syntax error too, is
-    raised by f as a one-line ValueError, so an expression compiled at
-    load fails at the same points, with the same message, as one parsed
-    at each evaluation.
-    """
-    src = re.sub(r"(\d)\s*([pn(])", r"\1*\2", text)
-    shown = _quoted(text)
-
-    def fail(message):
-        def raise_error(env):
-            raise ValueError(message)
-        return raise_error
-
-    def comp(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            value = int(node.value)
-            return lambda env: value
-        if isinstance(node, ast.Name):
-            name = node.id
-
-            def lookup(env):
-                value = env.get(name)
-                if value is None:
-                    raise ValueError(f"expression {shown} needs a value for {name!r}")
-                return value
-            return lookup
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            operand = comp(node.operand)
-            if isinstance(node.op, ast.USub):
-                return lambda env: -operand(env)
-            return operand
-        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
-            op, left, right = _OPS[type(node.op)], comp(node.left), comp(node.right)
-            return lambda env: op(left(env), right(env))
-        return fail(f"unsupported construct in expression {shown}")
-
-    try:
-        body = comp(ast.parse(src, mode="eval").body)
-    except SyntaxError as exc:
-        body = fail(f"bad expression {shown}: {exc}")
-    except (MemoryError, RecursionError):
-        body = fail(f"expression {shown} is nested too deeply")
-
-    def evaluate(p: int | None = None, n: int | None = None) -> int:
-        try:
-            result = body({"p": p, "n": n})
-        except ZeroDivisionError:
-            raise ValueError(f"expression {shown} divides by zero") from None
-        except (MemoryError, RecursionError):
-            raise ValueError(f"expression {shown} is nested too deeply") from None
-        if result.denominator != 1:
-            raise ValueError(f"expression {shown} is not integral: {result}")
-        return int(result)
-
-    return evaluate
-
-
-def _expr_uses(text: str, name: str) -> bool:
-    return re.search(rf"\b{name}\b", text) is not None
-
-
 _NAME_PART = re.compile(r"\(([0-9pn+\-*/ ]+)\)")
 # An opening parenthesis inside another: "so(2(p+1))".
 _NESTED = re.compile(r"\([^()]*\(")
 
 
-def compile_name(name: str):
-    """Parse a display name once; f(p, n) instantiates its parenthesized parts.
-
-    A part is an expression in one pair of parentheses.  A name that nests
-    them would render only its innermost part, so f refuses it with a
-    one-line ValueError, as compile_expr's f refuses a bad expression.
-    """
-    if _NESTED.search(name):
-        message = f"name {_quoted(name)} nests parentheses"
-
-        def refuse(p: int | None = None, n: int | None = None) -> str:
-            raise ValueError(message)
-        return refuse
-    parts = _NAME_PART.split(name)  # text, expression, text, ..., text
-    exprs = [compile_expr(part) for part in parts[1::2]]
-
-    def render(p: int | None = None, n: int | None = None) -> str:
-        out = [parts[0]]
-        for expr, text in zip(exprs, parts[2::2]):
-            out += ["(%d)" % expr(p, n), text]
-        return "".join(out)
-
-    return render
+def render_name(name: str, p: int | None = None, n: int | None = None) -> str:
+    """name with each expression in one pair of parentheses evaluated at (p, n)."""
+    if _NESTED.search(name):  # only its innermost part would render
+        raise ValueError(f"name {quoted(name)} nests parentheses")
+    return _NAME_PART.sub(lambda part: "(%d)" % compile_expr(part[1])(p, n), name)
 
 
 def normalize_key(text: str) -> str:
@@ -210,23 +111,13 @@ class PairFamily:
     p_max: int | None
     n_min: int | None
     n_max: int | None
-    mult: tuple[tuple[str, str], ...]
+    mult: tuple[tuple[str, Polynomial], ...]
     flags: frozenset[str]
-    dim_m_expr: str
     aliases: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        # Each expression and name is parsed here, once; instantiate() only
-        # evaluates.  _exprs maps each mult tag, and "dim_m", to its parse.
-        exprs = {tag: compile_expr(expr) for tag, expr in self.mult}
-        exprs["dim_m"] = compile_expr(self.dim_m_expr)
-        object.__setattr__(self, "_exprs", exprs)
-        object.__setattr__(self, "_g_name", compile_name(self.g_name))
-        object.__setattr__(self, "_k_name", compile_name(self.k_name))
 
     def names(self, p: int | None = None, n: int | None = None) -> tuple[str, str]:
         """The display names (g, k) at (p, n)."""
-        return self._g_name(p, n), self._k_name(p, n)
+        return render_name(self.g_name, p, n), render_name(self.k_name, p, n)
 
     @property
     def uses_p(self) -> bool:
@@ -251,23 +142,16 @@ class PairFamily:
         n = self._parameter("n", n, self.n_min, self.n_max)
         rank = p if self.rank_expr == "p" else int(self.rank_expr)
         rstype = RootSystemType(self.family, rank)
-        by_class = {tag: self._exprs[tag](p, n) for tag, _ in self.mult}
+        by_class = {tag: m(p, n) for tag, m in self.mult}
         for tag, m in by_class.items():
             if m < 1:
                 raise ValueError(f"{self.key}: multiplicity of {tag} is {m} < 1")
         if "group_manifold" in self.flags and set(by_class.values()) != {2}:
             raise ValueError(f"{self.key}: group manifold with multiplicities != 2")
-        dim_m = self._exprs["dim_m"](p, n)
-        classes = rootsys.CLASSES[self.family]
-        counted = sum(count(rank) * by_class[tag] for tag, _, count in classes)
-        if counted + rank != dim_m:
-            raise ValueError(
-                f"{self.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}"
-            )
         return Pair(
             family=self,
             rstype=rstype,
-            mult_by_class=tuple((tag, by_class[tag]) for tag, _, _ in classes),
+            mult_by_class=tuple((t, by_class[t]) for t, _, _ in rootsys.CLASSES[self.family]),
             p=p,
             n=n,
         )
@@ -407,57 +291,62 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     if family not in rootsys.CLASSES:
         raise PairsFormatError(f"unknown family {family!r}", line)
     rank_expr = rec["rank"]
-    if rank_expr == "p":
-        if "p_range" not in rec:
-            raise PairsFormatError(f"pair {rec['key']!r} has rank p but no params p", line)
-    else:
-        try:
-            int(rank_expr)
-        except ValueError:
-            raise PairsFormatError(f"bad rank {rank_expr!r}", line) from None
-        if "p_range" in rec:
-            raise PairsFormatError(f"pair {rec['key']!r} has fixed rank and params p", line)
+    try:
+        rank = P if rank_expr == "p" else int(rank_expr)
+    except ValueError:
+        raise PairsFormatError(f"bad rank {rank_expr!r}", line) from None
+    if (rank is P) != ("p_range" in rec):
+        which = "rank p but no" if rank is P else "fixed rank and"
+        raise PairsFormatError(f"pair {rec['key']!r} has {which} params p", line)
     tags = [tag for tag, _ in rec["mult"]]
     expected = {tag for tag, _, _ in rootsys.CLASSES[family]}
     if set(tags) != expected or len(tags) != len(expected):
         raise PairsFormatError(
             f"pair {rec['key']!r} classes {sorted(tags)} != {sorted(expected)}", line
         )
-    uses_n = any(_expr_uses(expr, "n") for _, expr in rec["mult"]) or _expr_uses(
-        rec["dim_m"], "n"
-    )
-    if uses_n != ("n_range" in rec):
+    # Each expression is parsed once; an error names the expression's line.
+    lines, texts = rec["lines"], (*rec["mult"], ("dim_m", rec["dim_m"]))
+    exprs = {field: _on_line(lines[field], compile_expr, text) for field, text in texts}
+    if any("n" in expr.variables for expr in exprs.values()) != ("n_range" in rec):
         raise PairsFormatError(
             f"pair {rec['key']!r}: params n must be present exactly when n is used",
             line,
         )
-    p_range = rec.get("p_range", (None, None))
-    n_range = rec.get("n_range", (None, None))
+    p_min, p_max = rec.get("p_range", (None, None))
+    n_min, n_max = rec.get("n_range", (None, None))
+    for field, expr in exprs.items():
+        _on_line(lines[field], expr, p_min, n_min)
+    dim_m = exprs.pop("dim_m")
     fam = PairFamily(
         key=rec["key"],
         g_name=rec["g"],
         k_name=rec["k"],
         family=family,
         rank_expr=rank_expr,
-        p_min=p_range[0],
-        p_max=p_range[1],
-        n_min=n_range[0],
-        n_max=n_range[1],
-        mult=tuple(rec["mult"]),
+        p_min=p_min,
+        p_max=p_max,
+        n_min=n_min,
+        n_max=n_max,
+        mult=tuple(exprs.items()),
         flags=frozenset(rec["flags"]),
-        dim_m_expr=rec["dim_m"],
         aliases=tuple(rec["aliases"]),
     )
-    # Validate at the smallest instantiation so data errors surface at load;
-    # each expression first on its own, so that its error names its line.
-    for field, expr in fam._exprs.items():
-        try:
-            expr(fam.p_min, fam.n_min)
-        except ValueError as exc:
-            raise PairsFormatError(str(exc), rec["lines"][field]) from None
+    # The smallest instantiation surfaces the remaining data errors at load.
+    _on_line(line, fam.instantiate, p_min, n_min)
+    # dim_m is the multiplicity total plus the rank at every (p, n), one
+    # polynomial identity; a class count is a polynomial in the rank.
+    counted = sum((count if rank is P else count(rank)) * exprs[tag]
+                  for tag, _, count in rootsys.CLASSES[family])
+    if counted + rank != dim_m:
+        raise PairsFormatError(
+            f"{fam.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}", line)
+    _on_line(line, fam.names, p_min, n_min)
+    return fam
+
+
+def _on_line(line: int, call, *args):
+    """call(*args), its ValueError refused as a PairsFormatError on line."""
     try:
-        fam.instantiate(p=fam.p_min, n=fam.n_min)
-        fam.names(fam.p_min, fam.n_min)
+        return call(*args)
     except ValueError as exc:
         raise PairsFormatError(str(exc), line) from None
-    return fam

@@ -20,6 +20,7 @@ from importlib import resources
 from itertools import groupby
 
 from . import ferus, orbits, pairdb
+from .expr import N, P, compile_expr
 from .rootsys import RootVec
 
 
@@ -30,21 +31,6 @@ class VerificationFailure(Exception):
 # The default instantiation grid of `table1` and `table1 --check`.
 TABLE1_P_RANGE = (2, 6)
 TABLE1_N_RANGE = (1, 4)
-
-
-def _render_affine(a: int, b: int, c: int) -> str:
-    parts: list[str] = []
-    for coeff, sym in ((a, "p"), (b, "n")):
-        if coeff == 0:
-            continue
-        mag = "" if abs(coeff) == 1 else str(abs(coeff))
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + mag + sym)
-        else:
-            parts.append(("-" if coeff < 0 else "+") + mag + sym)
-    if c != 0 or not parts:
-        parts.append(str(c) if not parts else ("%+d" % c))
-    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -58,12 +44,10 @@ class Table1Row:
     degeneracy: int = field(metadata={"header": "l-r"})
 
     def __post_init__(self):
-        # degeneracy must equal l - r identically; test at two points.
-        l, r = pairdb.compile_expr(self.l), pairdb.compile_expr(self.r)
-        for p, n in ((3, 2), (5, 4)):
-            got = l(p, n) - r(p, n)
-            if got != self.degeneracy:
-                raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
+        # degeneracy must equal l - r at every (p, n): one identity.
+        got = compile_expr(self.l) - compile_expr(self.r)
+        if got != compile_expr(str(self.degeneracy)):
+            raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
 
 
 def _affine_fit(family: pairdb.PairFamily, lr: dict) -> Table1Row:
@@ -78,10 +62,10 @@ def _affine_fit(family: pairdb.PairFamily, lr: dict) -> Table1Row:
         base = lr[p0, n0][component]
         a = lr[p0 + 1, n0][component] - base if family.uses_p else 0
         b = lr[p0, n0 + 1][component] - base if family.uses_n else 0
-        c = base - a * (p0 or 0) - b * (n0 or 0)
-        if any(v[component] != a * (p or 0) + b * (n or 0) + c for (p, n), v in lr.items()):
+        formula = base + a * (P - (p0 or 0)) + b * (N - (n0 or 0))
+        if any(v[component] != formula(p, n) for (p, n), v in lr.items()):
             raise VerificationFailure(f"{family.key}: table value is not affine in (p, n)")
-        formulas.append(_render_affine(a, b, c))
+        formulas.append(str(formula))
     l, r = lr[p0, n0]
     return Table1Row(
         rstype=family.family,
@@ -185,17 +169,11 @@ def check_table1(
         if exp != got:
             problems.append(f"symbolic row differs: computed {got} expected {exp}")
     by_gk = {(row.g, row.k): row for row in expected}
-    # Each checked family's expected row and formulas, compiled once; a
-    # family with no expected row is not instantiated.
-    formulas = {
-        family.key: (exp, pairdb.compile_expr(exp.l), pairdb.compile_expr(exp.r))
-        for family in db
-        if (exp := by_gk.get((family.g_name, family.k_name))) is not None
-    }
-    checked = pairdb.PairDatabase([family for family in db if family.key in formulas])
+    # A family with no expected row is not instantiated.
+    checked = pairdb.PairDatabase([f for f in db if (f.g_name, f.k_name) in by_gk])
     for pair, _, report in orbits.sweep(checked.instantiations(p_range, n_range)):
-        exp, l_of, r_of = formulas[pair.family.key]
-        want_l, want_r = l_of(pair.p, pair.n), r_of(pair.p, pair.n)
+        exp = by_gk[pair.family.g_name, pair.family.k_name]
+        want_l, want_r = (compile_expr(f)(pair.p, pair.n) for f in (exp.l, exp.r))
         if (report.l, report.r, report.nullity) != (want_l, want_r, exp.degeneracy):
             problems.append(
                 f"{pair.label()}: computed (l, r, l-r) = "

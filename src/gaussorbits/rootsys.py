@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .expr import compile_expr
+
 class InvariantViolation(RuntimeError):
     """A structural fact the library relies on failed to hold."""
 
@@ -207,20 +209,20 @@ MAX_RANK = 70
 # The Weyl-orbit classes of positive roots of each family, in the tags of
 # pairs.dat: (tag, squared length, number of positive roots at rank p).
 CLASSES = {
-    "A": (("all", 2, lambda p: p * (p + 1) // 2),),
-    "B": (("e_i", 1, lambda p: p), ("e_i+-e_j", 2, lambda p: p * (p - 1))),
-    "C": (("e_i+-e_j", 2, lambda p: p * (p - 1)), ("2e_i", 4, lambda p: p)),
-    "D": (("all", 2, lambda p: p * (p - 1)),),
+    "A": (("all", 2, compile_expr("p*(p+1)/2")),),
+    "B": (("e_i", 1, compile_expr("p")), ("e_i+-e_j", 2, compile_expr("p*(p-1)"))),
+    "C": (("e_i+-e_j", 2, compile_expr("p*(p-1)")), ("2e_i", 4, compile_expr("p"))),
+    "D": (("all", 2, compile_expr("p*(p-1)")),),
     "BC": (
-        ("e_i", 1, lambda p: p),
-        ("e_i+-e_j", 2, lambda p: p * (p - 1)),
-        ("2e_i", 4, lambda p: p),
+        ("e_i", 1, compile_expr("p")),
+        ("e_i+-e_j", 2, compile_expr("p*(p-1)")),
+        ("2e_i", 4, compile_expr("p")),
     ),
-    "E6": (("all", 2, lambda p: 36),),
-    "E7": (("all", 2, lambda p: 63),),
-    "E8": (("all", 2, lambda p: 120),),
-    "F4": (("short", 1, lambda p: 12), ("long", 2, lambda p: 12)),
-    "G2": (("short", 2, lambda p: 3), ("long", 6, lambda p: 3)),
+    "E6": (("all", 2, compile_expr("36")),),
+    "E7": (("all", 2, compile_expr("63")),),
+    "E8": (("all", 2, compile_expr("120")),),
+    "F4": (("short", 1, compile_expr("12")), ("long", 2, compile_expr("12"))),
+    "G2": (("short", 2, compile_expr("3")), ("long", 6, compile_expr("3"))),
 }
 
 

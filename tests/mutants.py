@@ -70,10 +70,11 @@ MUTANTS = (
      'if "group_manifold" in self.flags and set(by_class.values()) != {2}:',
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
+    # pairdb._finish_record: the dim_m identity, proved once at load
     ("pairdb.py",
      "if counted + rank != dim_m:",
      "if False:",
-     "tests/test_pairdb.py::TestFileFormat::test_schema_violations"),
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_dim_m_wrong_above_p_min"),
     # pairdb.PairFamily.instantiations and the load-time name check
     ("pairdb.py",
      "itertools.product(p_axis, n_axis if p_axis else ())",
@@ -81,7 +82,7 @@ MUTANTS = (
      "tests/test_pairdb.py::TestInstantiations::"
      "test_an_empty_p_axis_leaves_the_n_axis_unwalked"),
     ("pairdb.py",
-     "        fam.names(fam.p_min, fam.n_min)\n",
+     "    _on_line(line, fam.names, p_min, n_min)\n",
      "",
      "tests/test_pairdb.py::TestInstantiations::test_a_name_is_checked_at_load"),
     ("pairdb.py",
@@ -140,13 +141,18 @@ MUTANTS = (
      "if self.F != self.witness_k or self.minimality_checked_up_to != self.F - 1:",
      "if False:",
      "tests/test_ferus.py::TestFerus::test_inconsistent_certificate_is_refused"),
+    # expr.compile_expr
+    ("expr.py",
+     "if isinstance(node.op, ast.Div) and right.variables:",
+     "if False:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_dividing_by_an_expression_in_p"),
     # report
     ("report.py",
-     "            if got != self.degeneracy:",
-     "            if False:",
+     "if got != compile_expr(str(self.degeneracy)):",
+     "if False:",
      "tests/test_report.py::TestTable1::test_degeneracy_validation"),
     ("report.py",
-     "if any(v[component] != a * (p or 0) + b * (n or 0) + c for (p, n), v in lr.items()):",
+     "if any(v[component] != formula(p, n) for (p, n), v in lr.items()):",
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_table_value_not_affine_in_p"),
     # cayley

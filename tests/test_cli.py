@@ -370,6 +370,40 @@ class TestUserSuppliedDatabase:
         assert (code, out) == (1, "")
         assert err == f"error: line 1: toy(p+1)|toy(p): {message}\n"
 
+    def test_dim_m_wrong_above_p_min(self, run, tmp_path):
+        # Right at p = 2 (3 + 2 + 0 = 5), wrong from p = 3: the identity in p
+        # refuses it at load, not at the first bad instance.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="1", flags="").replace(
+            "dim_m p*(p+1)*(1)/2+p", "dim_m p*(p+1)/2+p+(p-2)"))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: line 1: toy(p+1)|toy(p): multiplicity total p*p/2+p/2 + rank p"
+            " != dim_m p*p/2+5p/2-2\n"
+        )
+
+    def test_dividing_by_an_expression_in_p(self, run, tmp_path):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="(p+1)/(p+1)", flags=""))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: line 6: expression '(p+1)/(p+1)' divides by an expression in p or n\n"
+        )
+
+    def test_implicit_multiplication_uses_n(self, run, tmp_path):
+        # "2n" is 2*n: the record uses n, so it needs its params n.
+        path = tmp_path / "pairs.dat"
+        path.write_text(
+            "pair toy(p+n)|toy(n)\n  g toy(p+n)\n  k toy(n)\n  type B p\n"
+            "  params p 2 *\n  params n 1 *\n  mult e_i 2n\n  mult e_i+-e_j 1\n"
+            "  dim_m p*p+2n*p\nend\n"
+        )
+        code, out, err = run("--pairs", str(path), "--format", "csv", "pairs", "list")
+        assert (code, err) == (0, "")
+        assert out == "key,type,rank,p,n,flags\ntoy(p+n)|toy(n),B,p,2:*,1:*,-\n"
+
     def test_table_value_not_affine_in_p(self, run, tmp_path):
         # m = p*p gives l = (2p - 1) p^2 at the highest root.
         path = tmp_path / "pairs.dat"

@@ -170,3 +170,18 @@ def test_every_mutant_still_applies():
             isinstance(item, ast.FunctionDef) and item.name == function
             for node in classes for item in node.body
         ), test
+
+
+def test_one_parser_and_one_expression_language():
+    # Only expr.py parses: pairs.dat, the class counts and Table 1 share
+    # its polynomials, so no count is a lambda.
+    from gaussorbits import expr, rootsys
+
+    parsers = [
+        path.name for path in MODULES for node in _nodes(path)
+        if isinstance(node, ast.Import) and "ast" in [alias.name for alias in node.names]
+        or isinstance(node, ast.ImportFrom) and node.module == "ast"
+    ]
+    assert parsers == ["expr.py"]
+    counts = [count for classes in rootsys.CLASSES.values() for _, _, count in classes]
+    assert all(isinstance(count, expr.Polynomial) for count in counts)

@@ -7,8 +7,9 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaussorbits import cayley, ferus, orbits, pairdb, report, rootsys
+from gaussorbits import cayley, expr, ferus, orbits, pairdb, report, rootsys
 from gaussorbits.cli import main
 from reference import rootvec
 
@@ -52,11 +53,36 @@ class TestAffineRendering:
         ],
     )
     def test_render(self, coeffs, want):
-        assert report._render_affine(*coeffs) == want
+        a, b, c = coeffs
+        assert str(a * expr.P + b * expr.N + c) == want
 
     def test_formula_evaluation(self):
-        assert pairdb.compile_expr("4p+2n-7")(3, 2) == 9
-        assert pairdb.compile_expr("24")() == 24
+        assert expr.compile_expr("4p+2n-7")(3, 2) == 9
+        assert expr.compile_expr("24")() == 24
+
+    def test_golden_formulas_are_in_normal_form(self):
+        rows = list(csv.DictReader(io.StringIO(EXPECTED)))
+        assert len(rows) == 31
+        for row in rows:
+            for text in (row["l"], row["r"]):
+                assert str(expr.compile_expr(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-40, 40), min_size=6, max_size=6),
+        st.integers(1, 12),
+    )
+    def test_normal_form_reads_back(self, coeffs, den):
+        # Degree <= 2 in p and n, rational coefficients over den.
+        monomials = ["p*p", "p*n", "n*n", "p", "n", "1"]
+        text = "(" + "+".join(f"({c})*{m}" for c, m in zip(coeffs, monomials)) + f")/{den}"
+        e = expr.compile_expr(text)
+        assert expr.compile_expr(str(e)) == e
+        assert str(expr.compile_expr(str(e))) == str(e)
+        p, n = 7, -3
+        value = sum(c * v for c, v in zip(coeffs, [p * p, p * n, n * n, p, n, 1]))
+        if value % den == 0:
+            assert e(p, n) == value // den
 
 
 class TestTable1:
@@ -88,6 +114,13 @@ class TestTable1:
         with pytest.raises(ValueError):
             report.Table1Row(
                 rstype="A", rank="p", g="x", k="y", l="2p-1", r="2p-2", degeneracy=3
+            )
+
+    def test_degeneracy_is_an_identity(self):
+        # l - r = (p-3)(p-5) + 1 is 1 at p = 3 and p = 5 only.
+        with pytest.raises(ValueError, match=r"degeneracy 1 != l-r = p\*p-8p\+16"):
+            report.Table1Row(
+                rstype="A", rank="p", g="x", k="y", l="p*p-6p+16", r="2p", degeneracy=1
             )
 
     @staticmethod
@@ -166,7 +199,7 @@ class TestRationalStrings:
         assert report.to_json(Fraction(2, 4)) == "1/2"
         assert report.to_json(Fraction(6, 3)) == "2"
         assert report.to_json(Fraction(-1, 2)) == "-1/2"
-        assert pairdb.compile_expr("-7/3*3")() == -7
+        assert expr.compile_expr("-7/3*3")() == -7
 
 
 class TestJsonRoundTrips:
