@@ -50,6 +50,24 @@ class Polynomial:
                              f"{Fraction(total, self._den)}")
         return value
 
+    def check_integral(self, p0: int | None = None, n0: int | None = None) -> None:
+        """Raise ValueError unless f(p, n) is an integer at every p >= p0 and n >= n0.
+
+        With d_p and d_n its degrees, f is a sum of c_ij C(p - p0, i) C(n - n0, j)
+        over i <= d_p and j <= d_n, each c_ij a finite difference of f on the
+        (d_p + 1) x (d_n + 1) grid at (p0, n0), and each binomial an integer on
+        the quadrant.  So f is integral there exactly when it is on that grid.
+        """
+        self(p0, n0)  # refuses a variable f uses without a value
+        if self._den == 1:  # integer coefficients give integer values
+            return
+        axes = []
+        for k, lo in ((1, p0), (2, n0)):
+            degree = max((term[k] for term in self._terms), default=0)
+            axes.append((None,) if lo is None else range(lo, lo + degree + 1))
+        for p, n in itertools.product(*axes):
+            self(p, n)
+
     def __add__(self, other):
         other, coeffs = _lift(other), defaultdict(int)
         for c, i, j in self._terms:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import itemgetter, mul
 
 from . import pairdb, rootsys
 from .rootsys import InvariantViolation, RootSystem, RootVec, inner, is_orthogonal
@@ -261,7 +262,7 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
                 memo[system, H] = facts
     counts, lam, c, ab = facts
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
-    l = sum(count * m for count, (_, m) in zip(counts, pair.mult_by_class))
+    l = sum(map(mul, counts, map(itemgetter(1), pair.mult_by_class)))
     root_class = system._class_labels.get(c)  # None when no root is on the line
     if lam is None:
         rule = RULE_NOT_PARALLEL
@@ -295,11 +296,18 @@ def sweep(pairs, specs=lambda pair: ("highest",)):
     """(pair, spec, report) for each pair and each orbit spec specs(pair) names.
 
     One memo serves the sweep, so each (system, folded ray) is profiled once.
+    A spec names one point per system, so each (system, spec) is resolved
+    and folded once: later rows pass in the ray the first report holds.
     """
     memo: dict = {}
+    rays: dict = {}
     for pair in pairs:
+        system = pair.system()
         for spec in specs(pair):
-            yield pair, spec, classify(pair, resolve_orbit(pair, spec), memo)
+            H = rays.get((system, spec))
+            report = classify(pair, resolve_orbit(pair, spec) if H is None else H, memo)
+            rays[system, spec] = report.H
+            yield pair, spec, report
 
 
 def principal_curvatures(

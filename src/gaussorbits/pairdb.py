@@ -11,7 +11,6 @@ is what every table value in this package is computed from.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -32,13 +31,13 @@ class PairsFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-_NAME_PART = re.compile(r"\(([0-9pn+\-*/ ]+)\)")
+_NAME_PART = re.compile(r"\(([^()]*)\)")
 # An opening parenthesis inside another: "so(2(p+1))".
 _NESTED = re.compile(r"\([^()]*\(")
 
 
 def render_name(name: str, p: int | None = None, n: int | None = None) -> str:
-    """name with each expression in one pair of parentheses evaluated at (p, n)."""
+    """name with each part in one pair of parentheses, an expression, evaluated at (p, n)."""
     if _NESTED.search(name):  # only its innermost part would render
         raise ValueError(f"name {quoted(name)} nests parentheses")
     return _NAME_PART.sub(lambda part: "(%d)" % compile_expr(part[1])(p, n), name)
@@ -64,20 +63,19 @@ class Pair:
     p: int | None = None
     n: int | None = None
 
+    def __post_init__(self):
+        # Rendered once here, with no lock: classify reads it for every report.
+        params = [f"p={self.p}" if self.p is not None else "",
+                  f"n={self.n}" if self.n is not None else ""]
+        params = ",".join(x for x in params if x)
+        object.__setattr__(self, "_label", self.family.key + (f" [{params}]" if params else ""))
+
     def system(self) -> RootSystem:
         return rootsys.build(self.rstype)
 
     def label(self) -> str:
         """The family key and the parameters in use, "key [p=3,n=1]"."""
         return self._label
-
-    @functools.cached_property
-    def _label(self) -> str:
-        # Rendered on first use and kept: classify reads it for every report.
-        params = [f"p={self.p}" if self.p is not None else "",
-                  f"n={self.n}" if self.n is not None else ""]
-        params = ",".join(x for x in params if x)
-        return f"{self.family.key}" + (f" [{params}]" if params else "")
 
 
 def bound_text(bound: int | None) -> str:
@@ -315,7 +313,7 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     p_min, p_max = rec.get("p_range", (None, None))
     n_min, n_max = rec.get("n_range", (None, None))
     for field, expr in exprs.items():
-        _on_line(lines[field], expr, p_min, n_min)
+        _on_line(lines[field], expr.check_integral, p_min, n_min)
     dim_m = exprs.pop("dim_m")
     fam = PairFamily(
         key=rec["key"],

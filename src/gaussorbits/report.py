@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import groupby
+from operator import attrgetter
 
 from . import ferus, orbits, pairdb
 from .expr import N, P, compile_expr
@@ -231,9 +232,10 @@ def cells(cls, rows) -> tuple[list[str], list[list[str]]]:
     its metadata names another.  A cell is "" for None, true or false for a
     bool and str() of any other value.
     """
-    names = [f.name for f in fields(cls)]
+    # Every row class has two fields or more, so get returns a tuple.
+    get = attrgetter(*(f.name for f in fields(cls)))
     headers = [f.metadata.get("header", f.name) for f in fields(cls)]
-    return headers, [[_cell(getattr(row, name)) for name in names] for row in rows]
+    return headers, [list(map(_cell, get(row))) for row in rows]
 
 
 def scan_cells(rows: list[ferus.ScanRow]):

@@ -89,6 +89,11 @@ MUTANTS = (
      "if _NESTED.search(name):",
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_name_with_nested_parentheses"),
+    # pairdb.render_name: a part in parentheses that is no expression
+    ("pairdb.py",
+     '_NAME_PART = re.compile(r"\\(([^()]*)\\)")',
+     '_NAME_PART = re.compile(r"\\(([0-9pn+\\-*/ ]+)\\)")',
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_name_part_that_is_no_expression"),
     # rootsys._check_build's dominance check, the only one that sees a
     # reducible system
     ("rootsys.py",
@@ -136,6 +141,15 @@ MUTANTS = (
      "if ab and not degenerate:",
      "if False:",
      "tests/test_orbits.py::TestClassify::test_ab_outside_the_rule_is_invariant_violation"),
+    # orbits.sweep's ray per (system, spec)
+    ("orbits.py",
+     "            H = rays.get((system, spec))\n"
+     "            report = classify(pair, resolve_orbit(pair, spec) if H is None else H, memo)\n"
+     "            rays[system, spec] = report.H",
+     "            H = rays.get(spec)\n"
+     "            report = classify(pair, resolve_orbit(pair, spec) if H is None else H, memo)\n"
+     "            rays[spec] = report.H",
+     "tests/test_orbits.py::TestMemo::test_a_scan_resolves_and_folds_once_per_system_and_spec"),
     # ferus.FerusCertificate
     ("ferus.py",
      "if self.F != self.witness_k or self.minimality_checked_up_to != self.F - 1:",
@@ -146,6 +160,11 @@ MUTANTS = (
      "if isinstance(node.op, ast.Div) and right.variables:",
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_dividing_by_an_expression_in_p"),
+    # expr.Polynomial.check_integral: the corner point alone
+    ("expr.py",
+     "range(lo, lo + degree + 1)",
+     "range(lo, lo + 1)",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_not_integral_above_p_min"),
     # report
     ("report.py",
      "if got != compile_expr(str(self.degeneracy)):",

@@ -383,6 +383,34 @@ class TestUserSuppliedDatabase:
             " != dim_m p*p/2+5p/2-2\n"
         )
 
+    def test_multiplicity_not_integral_above_p_min(self, run, tmp_path):
+        # p/2 is 1 at p = 2 and 3/2 at p = 3, and dim_m follows it, so the
+        # identity holds: only integrality on the quadrant p >= 2 refuses it.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="p/2", flags=""))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == "error: line 6: expression 'p/2' is not integral: 3/2\n"
+
+    def test_integer_valued_multiplicity_with_fractions_loads(self, run, tmp_path):
+        # p(p+1)/2 has coefficients 1/2 and an integer value at every p.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="p*(p+1)/2", flags=""))
+        code, out, err = run("--pairs", str(path), "--format", "csv", "pairs", "list")
+        assert (code, err) == (0, "")
+        assert out == "key,type,rank,p,n,flags\ntoy(p+1)|toy(p),A,p,2:*,-,-\n"
+
+    @pytest.mark.parametrize("name,message", [
+        ("toy(p+m)", "expression 'p+m' needs a value for 'm'"),
+        ("toy(p,n)", "unsupported construct in expression 'p,n'"),
+    ])
+    def test_name_part_that_is_no_expression(self, run, tmp_path, name, message):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.CUSTOM.replace("  k toy(p)\n", f"  k {name}\n"))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: {message}\n"
+
     def test_dividing_by_an_expression_in_p(self, run, tmp_path):
         path = tmp_path / "pairs.dat"
         path.write_text(self.A_FAMILY.format(m="(p+1)/(p+1)", flags=""))

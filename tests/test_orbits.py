@@ -878,3 +878,28 @@ class TestMemo:
         assert len(rows) > len(keys)
         assert len(calls) == len(set(calls)) == len(keys)
         assert set(calls) == keys
+
+    def test_a_scan_resolves_and_folds_once_per_system_and_spec(self, db, monkeypatch):
+        # A later row of a (system, spec) passes in the ray of the first
+        # report, a memo key: it neither resolves nor folds again.
+        resolved, folded = [], []
+        resolve_orbit, weyl_fold = orbits.resolve_orbit, orbits.weyl_fold
+
+        def counted_resolve(pair, spec):
+            resolved.append((pair.system(), spec))
+            return resolve_orbit(pair, spec)
+
+        def counted_fold(system, H):
+            folded.append(system)
+            return weyl_fold(system, H)
+
+        monkeypatch.setattr(orbits, "resolve_orbit", counted_resolve)
+        monkeypatch.setattr(orbits, "weyl_fold", counted_fold)
+        grid = (2, 6), (0, 4)
+        rows = ferus.equality_scan(db, *grid)
+        keys = {(pair.system(), spec) for pair in db.instantiations(*grid)
+                for spec in ferus._SCAN_ORBITS[pair.rstype.family]}
+        assert len(rows) > 2 * len(keys)
+        assert len(resolved) == len(set(resolved)) == len(keys)
+        assert set(resolved) == keys
+        assert len(folded) == len(keys)

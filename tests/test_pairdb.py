@@ -3,7 +3,7 @@ import re
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussorbits import expr, orbits, pairdb, rootsys
 from gaussorbits.pairdb import PairsFormatError
@@ -352,6 +352,33 @@ class TestExpressions:
         with pytest.raises(ValueError, match="divides by zero|nested too deeply") as info:
             expr.compile_expr(text)(3)
         assert len(str(info.value)) < 120
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                                  st.integers(-6, 6), max_size=5),
+           den=st.integers(1, 12), p0=st.integers(-2, 3), n0=st.integers(-2, 3))
+    @example(coeffs={(2, 0): 1, (1, 0): 1}, den=2, p0=2, n0=0)  # p(p+1)/2 passes
+    @example(coeffs={(1, 0): 1}, den=2, p0=2, n0=0)  # p/2 fails at p = 3
+    @example(coeffs={(1, 1): 1, (0, 2): 1, (0, 1): 1}, den=2, p0=0, n0=0)  # pn/2 fails
+    def test_integral_on_the_corner_grid_is_integral_on_the_quadrant(
+            self, coeffs, den, p0, n0):
+        # Degree <= 3 in p and <= 2 in n: the check reads a 4 x 3 grid at most,
+        # and must agree with the values on a 12 x 9 window.
+        f = expr.Polynomial(coeffs, den)
+        integral = all(sum(c * p**i * n**j for c, i, j in f._terms) % f._den == 0
+                       for p in range(p0, p0 + 12) for n in range(n0, n0 + 9))
+        try:
+            f.check_integral(p0, n0)
+        except ValueError as exc:
+            assert "is not integral" in str(exc)
+            assert not integral
+        else:
+            assert integral
+
+    def test_integral_without_a_parameter(self):
+        expr.compile_expr("n*(n+1)/2").check_integral(None, 0)
+        with pytest.raises(ValueError, match="needs a value for 'p'"):
+            expr.compile_expr("p*n").check_integral(None, 1)
 
     def test_missing_value(self):
         with pytest.raises(ValueError, match="needs a value"):
