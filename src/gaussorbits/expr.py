@@ -36,6 +36,11 @@ class Polynomial:
         self.variables = frozenset(name for _, *powers in self._terms
                                    for name, power in zip("pn", powers) if power)
 
+    @property
+    def degrees(self) -> tuple[int, int]:
+        """The degrees of f in p and in n."""
+        return tuple(max((term[k] for term in self._terms), default=0) for k in (1, 2))
+
     def __call__(self, p: int | None = None, n: int | None = None) -> int:
         if (p is None and "p" in self.variables) or (n is None and "n" in self.variables):
             name = "p" if p is None and "p" in self.variables else "n"
@@ -61,12 +66,36 @@ class Polynomial:
         self(p0, n0)  # refuses a variable f uses without a value
         if self._den == 1:  # integer coefficients give integer values
             return
-        axes = []
-        for k, lo in ((1, p0), (2, n0)):
-            degree = max((term[k] for term in self._terms), default=0)
-            axes.append((None,) if lo is None else range(lo, lo + degree + 1))
+        axes = [(None,) if lo is None else range(lo, lo + degree + 1)
+                for lo, degree in zip((p0, n0), self.degrees)]
         for p, n in itertools.product(*axes):
             self(p, n)
+
+    def check_least(self, least: int, p_range, n_range) -> None:
+        """Raise ValueError unless f(p, n) >= least on the ranges; f of degree <= 1 in p and n.
+
+        A range is (min, max), max None when unbounded, or None for a
+        parameter f does not use.  f is linear along each axis, so it is
+        least at a corner of the ranges, unless its slope (the coefficient
+        of p or n) is negative somewhere along an unbounded axis, where f
+        falls without bound.
+        """
+        ranges = (p_range, n_range)
+        corners = [(None,) if r is None else (r[0],) if r[1] is None else r for r in ranges]
+        for p, n in itertools.product(*corners):
+            if (value := self(p, n)) < least:
+                at = ", ".join(f"{name}={v}" for name, v in zip("pn", (p, n)) if v is not None)
+                raise ValueError(f"expression {quoted(self._text or str(self))} is "
+                                 f"{value} < {least} at {at}")
+        for k, (name, r) in enumerate(zip("pn", ranges), 1):
+            if name in self.variables and r[1] is None:
+                slope = {(i - (k == 1), j - (k == 2)): c for c, i, j in self._terms
+                         if (i, j)[k - 1]}
+                try:
+                    Polynomial(slope, self._den).check_least(0, *ranges)
+                except ValueError:
+                    raise ValueError(f"expression {quoted(self._text or str(self))} "
+                                     f"falls below {least} as {name} grows") from None
 
     def __add__(self, other):
         other, coeffs = _lift(other), defaultdict(int)

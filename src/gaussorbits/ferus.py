@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import orbits, pairdb
+from . import orbits, pairdb, rootsys
 
 
 def adams(k: int) -> int:
@@ -70,21 +70,16 @@ def ferus_identity_check(q: int) -> bool:
     return all(ferus(2**q + a).F == 2**q for a in range(bound + 1))
 
 
-# Orbit classes swept per restricted-system family: the long-root orbit
-# always, plus the distinct shorter-root rays where they exist.  For BC
-# the e_i ray coincides with the 2e_i ray, so only "middle" is extra.
-_SCAN_ORBITS = {
-    "A": ("long",),
-    "D": ("long",),
-    "E6": ("long",),
-    "E7": ("long",),
-    "E8": ("long",),
-    "B": ("long", "short"),
-    "C": ("long", "short"),
-    "F4": ("long", "short"),
-    "G2": ("long", "short"),
-    "BC": ("long", "middle"),
-}
+def _scan_orbits(classes) -> tuple[str, ...]:
+    # One orbit per class, longest first, except a class whose roots lie on
+    # the line of a class four times as long: BC's e_i and 2e_i share a ray.
+    lengths = [length for _, length, _ in classes]
+    labels = rootsys.length_labels(lengths)
+    return tuple(labels[length] for length in labels if 4 * length not in lengths)
+
+
+# Orbit specs swept per restricted-system family.
+_SCAN_ORBITS = {family: _scan_orbits(classes) for family, classes in rootsys.CLASSES.items()}
 
 DEFAULT_P_RANGE = (2, 16)
 DEFAULT_N_RANGE = (0, 16)

@@ -207,7 +207,6 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     return True
 
 
-@lru_cache(maxsize=1024)
 def _canonical_class_rep(system: RootSystem, spec: str) -> RootVec:
     # positive_roots ascend in sort_key order, so the last root of the
     # class is its maximum.
@@ -238,28 +237,16 @@ def _check_span(system: RootSystem, v: RootVec) -> None:
             raise ValueError(f"{v!r} is not in the span of the roots of {label}")
 
 
-def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitReport:
-    """Full degeneracy report for the orbit through H.
+def _profile(system: RootSystem, H: RootVec):
+    """(ray, facts): the primitive ray of H folded into the chamber, and its `_orbit_facts`."""
+    folded = weyl_fold(system, H)  # refuses a zero or misdimensioned H first
+    _check_span(system, H)
+    ray = rootsys.primitive_ray(folded)
+    return ray, _orbit_facts(system, ray)
 
-    The report is scale-free: H is folded into the closed chamber and
-    rescaled to the primitive integer vector on its ray, so reports of
-    Weyl-equivalent and positively proportional inputs compare equal.
 
-    A memo, one dict that `sweep` passes to all its calls, holds the
-    pair-free facts by (system, folded ray); the rest is computed per call.
-    """
-    system = pair.system()
-    # Keys are folded primitive rays, which fold onto themselves.
-    facts = None if memo is None else memo.get((system, H))
-    if facts is None:
-        folded = weyl_fold(system, H)  # refuses a zero or misdimensioned H first
-        _check_span(system, H)
-        H = rootsys.primitive_ray(folded)
-        facts = None if memo is None else memo.get((system, H))
-        if facts is None:
-            facts = _orbit_facts(system, H)
-            if memo is not None:
-                memo[system, H] = facts
+def _report(pair: pairdb.Pair, system: RootSystem, ray: RootVec, facts) -> OrbitReport:
+    """The report of pair's orbit through the chamber ray, from its pair-free facts."""
     counts, lam, c, ab = facts
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
     l = sum(map(mul, counts, map(itemgetter(1), pair.mult_by_class)))
@@ -281,7 +268,7 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     nullity = pair.mult_by_class[c][1] if degenerate else 0
     return OrbitReport(
         pair=pair.label(),
-        H=H,
+        H=ray,
         degenerate=degenerate,
         l=l,
         r=l - nullity,
@@ -292,22 +279,32 @@ def classify(pair: pairdb.Pair, H: RootVec, memo: dict | None = None) -> OrbitRe
     )
 
 
+def classify(pair: pairdb.Pair, H: RootVec) -> OrbitReport:
+    """Full degeneracy report for the orbit through H.
+
+    The report is scale-free: H is folded into the closed chamber and
+    rescaled to the primitive integer vector on its ray, so reports of
+    Weyl-equivalent and positively proportional inputs compare equal.
+    """
+    system = pair.system()
+    ray, facts = _profile(system, H)
+    return _report(pair, system, ray, facts)
+
+
 def sweep(pairs, specs=lambda pair: ("highest",)):
     """(pair, spec, report) for each pair and each orbit spec specs(pair) names.
 
-    One memo serves the sweep, so each (system, folded ray) is profiled once.
-    A spec names one point per system, so each (system, spec) is resolved
-    and folded once: later rows pass in the ray the first report holds.
+    A spec names one point per system, so the sweep resolves, folds and
+    profiles each (system, spec) once; every row then adds only its pair.
     """
-    memo: dict = {}
-    rays: dict = {}
+    profiles: dict = {}
     for pair in pairs:
         system = pair.system()
         for spec in specs(pair):
-            H = rays.get((system, spec))
-            report = classify(pair, resolve_orbit(pair, spec) if H is None else H, memo)
-            rays[system, spec] = report.H
-            yield pair, spec, report
+            profile = profiles.get((system, spec))
+            if profile is None:
+                profile = profiles[system, spec] = _profile(system, resolve_orbit(pair, spec))
+            yield pair, spec, _report(pair, system, *profile)
 
 
 def principal_curvatures(

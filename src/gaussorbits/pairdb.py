@@ -331,6 +331,13 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     )
     # The smallest instantiation surfaces the remaining data errors at load.
     _on_line(line, fam.instantiate, p_min, n_min)
+    # A multiplicity of degree <= 1 in p and n is >= 1 everywhere exactly
+    # when it is at the corners of its ranges and does not fall along an
+    # unbounded axis; one of higher degree is checked per instantiation,
+    # and a constant was checked by the one above.
+    for tag, expr in exprs.items():
+        if expr.variables and max(expr.degrees) <= 1:
+            _on_line(lines[tag], expr.check_least, 1, rec.get("p_range"), rec.get("n_range"))
     # dim_m is the multiplicity total plus the rank at every (p, n), one
     # polynomial identity; a class count is a polynomial in the rank.
     counted = sum((count if rank is P else count(rank)) * exprs[tag]

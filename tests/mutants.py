@@ -75,6 +75,11 @@ MUTANTS = (
      "if counted + rank != dim_m:",
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_dim_m_wrong_above_p_min"),
+    # pairdb._finish_record: a multiplicity of degree <= 1 stays >= 1
+    ("pairdb.py",
+     'expr.check_least, 1, rec.get("p_range"), rec.get("n_range"))',
+     'lambda *_: None)',
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_below_one_above_p_min"),
     # pairdb.PairFamily.instantiations and the load-time name check
     ("pairdb.py",
      "itertools.product(p_axis, n_axis if p_axis else ())",
@@ -141,15 +146,20 @@ MUTANTS = (
      "if ab and not degenerate:",
      "if False:",
      "tests/test_orbits.py::TestClassify::test_ab_outside_the_rule_is_invariant_violation"),
-    # orbits.sweep's ray per (system, spec)
+    # orbits.sweep's cache, keyed by spec alone
     ("orbits.py",
-     "            H = rays.get((system, spec))\n"
-     "            report = classify(pair, resolve_orbit(pair, spec) if H is None else H, memo)\n"
-     "            rays[system, spec] = report.H",
-     "            H = rays.get(spec)\n"
-     "            report = classify(pair, resolve_orbit(pair, spec) if H is None else H, memo)\n"
-     "            rays[spec] = report.H",
-     "tests/test_orbits.py::TestMemo::test_a_scan_resolves_and_folds_once_per_system_and_spec"),
+     "            profile = profiles.get((system, spec))\n"
+     "            if profile is None:\n"
+     "                profile = profiles[system, spec] =",
+     "            profile = profiles.get(spec)\n"
+     "            if profile is None:\n"
+     "                profile = profiles[spec] =",
+     "tests/test_orbits.py::TestMemo::test_equality_scan_matches_memo_free_classify"),
+    # ferus._scan_orbits: BC's e_i, on the line of 2e_i
+    ("ferus.py",
+     " if 4 * length not in lengths)",
+     ")",
+     "tests/test_ferus.py::TestEqualityScan::test_scan_orbits_derived_from_the_classes"),
     # ferus.FerusCertificate
     ("ferus.py",
      "if self.F != self.witness_k or self.minimality_checked_up_to != self.F - 1:",

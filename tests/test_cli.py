@@ -392,6 +392,24 @@ class TestUserSuppliedDatabase:
         assert (code, out) == (1, "")
         assert err == "error: line 6: expression 'p/2' is not integral: 3/2\n"
 
+    def test_multiplicity_below_one_above_p_min(self, run, tmp_path):
+        # 3-p is 1 at p = 2 and 0 at p = 3, and dim_m follows it, so the
+        # identity holds: only its fall along the unbounded p axis refuses it.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="3-p", flags=""))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == "error: line 6: expression '3-p' falls below 1 as p grows\n"
+
+    def test_falling_multiplicity_on_a_bounded_range_loads(self, run, tmp_path):
+        # 5-p is 3, 2 and 1 at p = 2, 3 and 4, the corners of its range.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="5-p", flags="").replace(
+            "params p 2 *", "params p 2 4"))
+        code, out, err = run("--pairs", str(path), "--format", "csv", "pairs", "list")
+        assert (code, err) == (0, "")
+        assert out == "key,type,rank,p,n,flags\ntoy(p+1)|toy(p),A,p,2:4,-,-\n"
+
     def test_integer_valued_multiplicity_with_fractions_loads(self, run, tmp_path):
         # p(p+1)/2 has coefficients 1/2 and an integer value at every p.
         path = tmp_path / "pairs.dat"

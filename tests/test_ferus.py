@@ -194,6 +194,22 @@ class TestEqualityScan:
             ("short", 5, 4, True),
         }
 
+    def test_scan_orbits_derived_from_the_classes(self):
+        # The table the scan swept when it was written by hand: one orbit per
+        # class, longest first, BC's e_i left out (it shares 2e_i's line).
+        assert ferus._SCAN_ORBITS == {
+            "A": ("long",),
+            "D": ("long",),
+            "E6": ("long",),
+            "E7": ("long",),
+            "E8": ("long",),
+            "B": ("long", "short"),
+            "C": ("long", "short"),
+            "F4": ("long", "short"),
+            "G2": ("long", "short"),
+            "BC": ("long", "middle"),
+        }
+
     def test_custom_grid(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 2))
         assert {r.p for r in rows if r.pair == "su(p+1)|so(p+1)"} == {2, 3}

@@ -136,21 +136,20 @@ def test_a_bench_definition_does_not_mask_a_package_name():
     assert _unused(modules, [shadowed]) == ["pairdb.py: eval_expr"]
 
 
-def test_only_the_sweep_passes_a_memo():
-    # The table builders and the scan reach classify through orbits.sweep,
-    # which owns the one memo of each walk.
-    calls = []
+def test_the_sweep_owns_the_only_orbit_cache():
+    # No function takes a memo.  The table builders and the scan reach the
+    # rule through orbits.sweep, whose one dict serves each walk, so only
+    # the one-point `classify` command calls classify.
+    memos, calls = [], []
     for path in MODULES:
-        for fn in _nodes(path):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                func = node.func if isinstance(node, ast.Call) else None
-                if "classify" in (getattr(func, "id", None), getattr(func, "attr", None)):
-                    memo = len(node.args) > 2 or any(k.arg == "memo" for k in node.keywords)
-                    calls.append((path.name, fn.name, memo))
-    assert [call for call in calls if call[2]] == [("orbits.py", "sweep", True)]
-    assert [call for call in calls if call[0] in ("report.py", "ferus.py")] == []
+        for node in _nodes(path):
+            if isinstance(node, ast.arg) and node.arg == "memo":
+                memos.append((path.name, node.lineno))
+            func = node.func if isinstance(node, ast.Call) else None
+            if "classify" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                calls.append(path.name)
+    assert memos == []
+    assert calls == ["cli.py"]
 
 
 def test_every_mutant_still_applies():

@@ -789,31 +789,37 @@ class TestNullityBound:
 
 
 class TestMemo:
-    # A memo shared by classify calls holds only what no pair changes, so
-    # sharing it across pairs never changes a report.
+    # The sweep's one cache, by (system, spec), holds only what no pair
+    # changes, so sharing it across pairs never changes a report.
 
     A_PAIRS = ("su(p+1)|so(p+1)", "su(p+1)^2|su(p+1)", "su(2p+2)|sp(p+1)")
 
-    def test_shared_across_multiplicities(self, db):
-        memo = {}
+    def test_shared_across_multiplicities(self, db, monkeypatch):
+        walk = []
         for p in (2, 3, 5):
             pairs = [db.get(key).instantiate(p=p) for key in self.A_PAIRS]
             assert [pair.mult_by_class[0][1] for pair in pairs] == [1, 2, 4]
-            system = pairs[0].system()
-            coweights = system.fundamental_coweights()
-            points = [system.highest_root, coweights[0], coweights[-1],
-                      coweights[0] + 2 * coweights[-1], -system.highest_root]
             # both orders, so each pair reads facts another pair stored
-            for order in (pairs, pairs[::-1]):
-                for pair in order:
-                    for H in points:
-                        assert orbits.classify(pair, H, memo) == orbits.classify(pair, H)
-        assert len(memo) == 3 * 4  # one key per (system, folded ray)
+            walk += pairs + pairs[::-1]
+        profiled = []
+        profile = orbits._profile
 
-    def test_seeded_memo_serves_points_on_the_same_orbit(self, db):
-        # A memo seeded with H0 answers a Weyl-moved H0, 2*H0 and -H0 as a
-        # memo-free call does, without a new key: each folds onto H0's ray.
-        # Every H0 here is fixed by -w0, so -H0 lies on its orbit too.
+        def counted(system, H):
+            profiled.append(system)
+            return profile(system, H)
+
+        monkeypatch.setattr(orbits, "_profile", counted)
+        rows = list(orbits.sweep(walk))
+        monkeypatch.undo()
+        assert [pair for pair, _, _ in rows] == walk
+        assert len(profiled) == len(set(profiled)) == 3  # one per system
+        for pair, spec, rep in rows:
+            assert rep == orbits.classify(pair, orbits.resolve_orbit(pair, spec))
+
+    def test_points_on_the_same_orbit_give_one_report(self, db):
+        # A Weyl-moved H0, 2*H0 and -H0 fold onto H0's ray, so classify
+        # reports each as it reports H0.  Every H0 here is fixed by -w0, so
+        # -H0 lies on its orbit too.
         rng = random.Random(23)
         for fam in db:
             for p in (fam.p_min, fam.p_min + 2) if fam.uses_p else (None,):
@@ -827,14 +833,12 @@ class TestMemo:
                     except ValueError:
                         pass
                 for H0 in seeds:
-                    memo = {}
-                    orbits.classify(pair, H0, memo)
+                    expected = orbits.classify(pair, H0)
                     moved = H0
                     for _ in range(rng.randint(1, 3 * system.rank)):
                         moved = rootsys.reflect(moved, rng.choice(system.simple_roots))
                     for H in (H0, moved, 2 * H0, -H0):
-                        assert orbits.classify(pair, H, memo) == orbits.classify(pair, H)
-                        assert len(memo) == 1, (pair.family.key, H0, H)
+                        assert orbits.classify(pair, H) == expected, (pair.family.key, H0, H)
 
     def test_equality_scan_matches_memo_free_classify(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 4), n_range=(0, 3))
@@ -857,7 +861,7 @@ class TestMemo:
             assert (inst.l, inst.r, inst.degeneracy) == (rep.l, rep.r, rep.nullity)
 
     def test_a_scan_runs_the_root_pass_once_per_orbit(self, db, monkeypatch):
-        # The scan's one memo: a (system, folded ray) that many pairs and
+        # The scan's one cache: a (system, folded ray) that many pairs and
         # every n share costs one _orbit_facts call.
         calls = []
         orbit_facts = orbits._orbit_facts
@@ -880,8 +884,8 @@ class TestMemo:
         assert set(calls) == keys
 
     def test_a_scan_resolves_and_folds_once_per_system_and_spec(self, db, monkeypatch):
-        # A later row of a (system, spec) passes in the ray of the first
-        # report, a memo key: it neither resolves nor folds again.
+        # A later row of a (system, spec) reads the sweep's cache: it
+        # neither resolves nor folds again.
         resolved, folded = [], []
         resolve_orbit, weyl_fold = orbits.resolve_orbit, orbits.weyl_fold
 

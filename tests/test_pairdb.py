@@ -375,6 +375,32 @@ class TestExpressions:
         else:
             assert integral
 
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                  st.integers(-2, 2), max_size=4),
+           p_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))),
+           n_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))))
+    @example(coeffs={(0, 0): 3, (1, 0): -1}, p_range=(2, None), n_range=(0, 0))  # 3-p
+    @example(coeffs={(0, 0): 2, (1, 1): 1, (0, 1): -1}, p_range=(2, None), n_range=(0, None))
+    def test_least_at_the_corners_or_falling_along_an_axis(self, coeffs, p_range, n_range):
+        # Degree <= 1 in p and in n, integer coefficients of size <= 2 and
+        # minima <= 2: a negative slope takes f below 1 within 30 steps, so
+        # a 30 x 30 window stands for an unbounded range.
+        f = expr.Polynomial(coeffs)
+        p_range, n_range = [(lo, None if span is None else lo + span)
+                            for lo, span in (p_range, n_range)]
+        p_axis, n_axis = [range(lo, lo + 30 if hi is None else hi + 1)
+                          for lo, hi in (p_range, n_range)]
+        least = min(sum(c * p**i * n**j for c, i, j in f._terms) for p in p_axis for n in n_axis)
+        try:
+            f.check_least(1, p_range, n_range)
+        except ValueError as exc:
+            assert re.search(r"is -?\d+ < 1 at p=\d+, n=\d+|falls below 1 as [pn] grows",
+                             str(exc))
+            assert least < 1
+        else:
+            assert least >= 1
+
     def test_integral_without_a_parameter(self):
         expr.compile_expr("n*(n+1)/2").check_integral(None, 0)
         with pytest.raises(ValueError, match="needs a value for 'p'"):
