@@ -2,8 +2,8 @@
 
 Each record of the embedded (or user-supplied) `pairs.dat` describes one
 family of pairs: display names, restricted root system, multiplicities of
-the Weyl-orbit classes of positive restricted roots (possibly depending
-on family integers p and n), structural flags and the isotropy dimension.
+the Weyl-orbit classes of positive restricted roots (each affine in the
+family integers p and n), structural flags and the isotropy dimension.
 The multiplicities are the load-bearing data: the dimension of the orbit
 through H is the sum of them over the roots not orthogonal to H, and that
 is what every table value in this package is computed from.
@@ -109,7 +109,7 @@ class PairFamily:
     p_max: int | None
     n_min: int | None
     n_max: int | None
-    mult: tuple[tuple[str, Polynomial], ...]
+    mult: tuple[tuple[str, Polynomial], ...]  # in rootsys.CLASSES order
     flags: frozenset[str]
     aliases: tuple[str, ...] = ()
 
@@ -140,19 +140,7 @@ class PairFamily:
         n = self._parameter("n", n, self.n_min, self.n_max)
         rank = p if self.rank_expr == "p" else int(self.rank_expr)
         rstype = RootSystemType(self.family, rank)
-        by_class = {tag: m(p, n) for tag, m in self.mult}
-        for tag, m in by_class.items():
-            if m < 1:
-                raise ValueError(f"{self.key}: multiplicity of {tag} is {m} < 1")
-        if "group_manifold" in self.flags and set(by_class.values()) != {2}:
-            raise ValueError(f"{self.key}: group manifold with multiplicities != 2")
-        return Pair(
-            family=self,
-            rstype=rstype,
-            mult_by_class=tuple((t, by_class[t]) for t, _, _ in rootsys.CLASSES[self.family]),
-            p=p,
-            n=n,
-        )
+        return Pair(self, rstype, tuple((tag, m(p, n)) for tag, m in self.mult), p, n)
 
     def instantiations(self, p_range=None, n_range=None):
         """The pairs at each (p, n) of the p axis times the n axis.
@@ -241,11 +229,11 @@ def parse_database(text: str) -> PairDatabase:
         elif word in ("g", "k"):
             if len(args) != 1:
                 raise PairsFormatError(f"{word} needs one value", lineno)
-            current[word] = args[0]
+            _set_once(current, word, args[0], lineno)
         elif word == "type":
             if len(args) != 2:
                 raise PairsFormatError("type needs family and rank", lineno)
-            current["family"], current["rank"] = args
+            _set_once(current, word, args, lineno)
         elif word == "params":
             if len(args) != 3 or args[0] not in ("p", "n"):
                 raise PairsFormatError("params needs: p|n min max", lineno)
@@ -254,7 +242,7 @@ def parse_database(text: str) -> PairDatabase:
                 hi = None if args[2] == "*" else int(args[2])
             except ValueError:
                 raise PairsFormatError(f"bad params bounds {args[1:]!r}", lineno) from None
-            current[f"{args[0]}_range"] = (lo, hi)
+            _set_once(current, f"params {args[0]}", (lo, hi), lineno)
         elif word == "mult":
             if len(args) != 2:
                 raise PairsFormatError("mult needs class and expression", lineno)
@@ -268,7 +256,7 @@ def parse_database(text: str) -> PairDatabase:
         elif word == "dim_m":
             if len(args) != 1:
                 raise PairsFormatError("dim_m needs one expression", lineno)
-            current["dim_m"] = args[0]
+            _set_once(current, word, args[0], lineno)
             current["lines"]["dim_m"] = lineno
         elif word == "alias":
             if len(args) != 1:
@@ -281,19 +269,25 @@ def parse_database(text: str) -> PairDatabase:
     return PairDatabase(families)
 
 
+def _set_once(rec: dict, field: str, value, line: int) -> None:
+    """rec[field] = value, refusing a second line of a single-valued field."""
+    if field in rec:
+        raise PairsFormatError(f"repeated field {field!r}", line)
+    rec[field] = value
+
+
 def _finish_record(rec: dict, line: int) -> PairFamily:
-    for field in ("g", "k", "family", "dim_m"):
+    for field in ("g", "k", "type", "dim_m"):
         if field not in rec:
             raise PairsFormatError(f"pair {rec['key']!r} missing field {field!r}", line)
-    family = rec["family"]
+    family, rank_expr = rec["type"]
     if family not in rootsys.CLASSES:
         raise PairsFormatError(f"unknown family {family!r}", line)
-    rank_expr = rec["rank"]
     try:
         rank = P if rank_expr == "p" else int(rank_expr)
     except ValueError:
         raise PairsFormatError(f"bad rank {rank_expr!r}", line) from None
-    if (rank is P) != ("p_range" in rec):
+    if (rank is P) != ("params p" in rec):
         which = "rank p but no" if rank is P else "fixed rank and"
         raise PairsFormatError(f"pair {rec['key']!r} has {which} params p", line)
     tags = [tag for tag, _ in rec["mult"]]
@@ -305,16 +299,21 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     # Each expression is parsed once; an error names the expression's line.
     lines, texts = rec["lines"], (*rec["mult"], ("dim_m", rec["dim_m"]))
     exprs = {field: _on_line(lines[field], compile_expr, text) for field, text in texts}
-    if any("n" in expr.variables for expr in exprs.values()) != ("n_range" in rec):
+    if any("n" in expr.variables for expr in exprs.values()) != ("params n" in rec):
         raise PairsFormatError(
             f"pair {rec['key']!r}: params n must be present exactly when n is used",
             line,
         )
-    p_min, p_max = rec.get("p_range", (None, None))
-    n_min, n_max = rec.get("n_range", (None, None))
-    for field, expr in exprs.items():
-        _on_line(lines[field], expr.check_integral, p_min, n_min)
+    p_min, p_max = rec.get("params p", (None, None))
+    n_min, n_max = rec.get("params n", (None, None))
     dim_m = exprs.pop("dim_m")
+    # A multiplicity is affine in p and n (Araki's tables): a few values prove
+    # it integral and >= 1 on the ranges, so instantiate only evaluates it.
+    for tag, m in exprs.items():
+        _on_line(lines[tag], m.check_affine, p_min, n_min)
+        _on_line(lines[tag], m.check_positive, rec.get("params p"), rec.get("params n"))
+    if "group_manifold" in rec["flags"] and any(m.variables or m() != 2 for m in exprs.values()):
+        raise PairsFormatError(f"{rec['key']}: group manifold with multiplicities != 2", line)
     fam = PairFamily(
         key=rec["key"],
         g_name=rec["g"],
@@ -325,19 +324,12 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
         p_max=p_max,
         n_min=n_min,
         n_max=n_max,
-        mult=tuple(exprs.items()),
+        mult=tuple((tag, exprs[tag]) for tag, _, _ in rootsys.CLASSES[family]),
         flags=frozenset(rec["flags"]),
         aliases=tuple(rec["aliases"]),
     )
-    # The smallest instantiation surfaces the remaining data errors at load.
+    # The smallest instantiation surfaces a bad rank at load.
     _on_line(line, fam.instantiate, p_min, n_min)
-    # A multiplicity of degree <= 1 in p and n is >= 1 everywhere exactly
-    # when it is at the corners of its ranges and does not fall along an
-    # unbounded axis; one of higher degree is checked per instantiation,
-    # and a constant was checked by the one above.
-    for tag, expr in exprs.items():
-        if expr.variables and max(expr.degrees) <= 1:
-            _on_line(lines[tag], expr.check_least, 1, rec.get("p_range"), rec.get("n_range"))
     # dim_m is the multiplicity total plus the rank at every (p, n), one
     # polynomial identity; a class count is a polynomial in the rank.
     counted = sum((count if rank is P else count(rank)) * exprs[tag]
@@ -345,7 +337,10 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     if counted + rank != dim_m:
         raise PairsFormatError(
             f"{fam.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}", line)
+    # A name renders at the smallest (p, n), and each part is affine and integral.
     _on_line(line, fam.names, p_min, n_min)
+    for part in _NAME_PART.findall(fam.g_name) + _NAME_PART.findall(fam.k_name):
+        _on_line(line, compile_expr(part).check_affine, p_min, n_min)
     return fam
 
 

@@ -61,25 +61,34 @@ MUTANTS = (
      "                )",
      "            else:\n                continue",
      "tests/test_rootsys.py::TestCheckBuild::test_simple_roots_that_are_no_base"),
-    # pairdb.PairFamily.instantiate
-    ("pairdb.py",
-     "            if m < 1:",
-     "            if False:",
-     "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
-    ("pairdb.py",
-     'if "group_manifold" in self.flags and set(by_class.values()) != {2}:',
-     "if False:",
-     "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
     # pairdb._finish_record: the dim_m identity, proved once at load
     ("pairdb.py",
      "if counted + rank != dim_m:",
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_dim_m_wrong_above_p_min"),
-    # pairdb._finish_record: a multiplicity of degree <= 1 stays >= 1
+    # pairdb._finish_record: each multiplicity affine, integral and >= 1,
+    # and a group manifold's all 2, proved once at load
+    ("expr.py",
+     "if self.degree > 1:",
+     "if False:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_of_degree_two_is_refused"),
+    ("expr.py",
+     "            self(p0 + 1, n0)\n",
+     "            pass\n",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_not_integral_above_p_min"),
     ("pairdb.py",
-     'expr.check_least, 1, rec.get("p_range"), rec.get("n_range"))',
-     'lambda *_: None)',
+     '        _on_line(lines[tag], m.check_positive, rec.get("params p"), rec.get("params n"))\n',
+     "",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_below_one_above_p_min"),
+    ("pairdb.py",
+     'if "group_manifold" in rec["flags"] and any(',
+     "if False and any(",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
+    # pairdb.parse_database: a single-valued field given twice
+    ("pairdb.py",
+     "    if field in rec:\n",
+     "    if False:\n",
+     "tests/test_pairdb.py::TestFileFormat::test_a_single_valued_field_given_twice"),
     # pairdb.PairFamily.instantiations and the load-time name check
     ("pairdb.py",
      "itertools.product(p_axis, n_axis if p_axis else ())",
@@ -90,6 +99,10 @@ MUTANTS = (
      "    _on_line(line, fam.names, p_min, n_min)\n",
      "",
      "tests/test_pairdb.py::TestInstantiations::test_a_name_is_checked_at_load"),
+    ("pairdb.py",
+     "_on_line(line, compile_expr(part).check_affine, p_min, n_min)",
+     "pass",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_name_part_is_affine_and_integral"),
     ("pairdb.py",
      "if _NESTED.search(name):",
      "if False:",
@@ -170,11 +183,11 @@ MUTANTS = (
      "if isinstance(node.op, ast.Div) and right.variables:",
      "if False:",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_dividing_by_an_expression_in_p"),
-    # expr.Polynomial.check_integral: the corner point alone
     ("expr.py",
-     "range(lo, lo + degree + 1)",
-     "range(lo, lo + 1)",
-     "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_not_integral_above_p_min"),
+     ".degree > MAX_DEGREE:",
+     ".degree > 10**9:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::"
+     "test_expression_of_high_degree_is_refused_at_once"),
     # report
     ("report.py",
      "if got != compile_expr(str(self.degeneracy)):",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gaussorbits
-from gaussorbits import cli, ferus, pairdb, report, rootsys
+from gaussorbits import cli, expr, ferus, pairdb, report, rootsys
 from gaussorbits.cli import main
 
 PAIRS_DAT = resources.files("gaussorbits").joinpath("data/pairs.dat").read_text()
@@ -359,16 +359,21 @@ class TestUserSuppliedDatabase:
         "end\n"
     )
 
-    @pytest.mark.parametrize("m,flags,message", [
-        ("3", "  flags group_manifold\n", "group manifold with multiplicities != 2"),
-        ("p-2", "", "multiplicity of all is 0 < 1"),
+    @pytest.mark.parametrize("m,flags,error", [
+        pytest.param("3", "  flags group_manifold\n",
+                     "line 1: toy(p+1)|toy(p): group manifold with multiplicities != 2",
+                     id="3-  flags group_manifold\n-group manifold with multiplicities != 2"),
+        pytest.param("p-2", "", "line 6: multiplicity 'p-2' is 0 < 1 at p=2",
+                     id="p-2--multiplicity of all is 0 < 1"),
     ])
-    def test_instantiate_refuses_the_smallest_pair(self, run, tmp_path, m, flags, message):
+    def test_instantiate_refuses_the_smallest_pair(self, run, tmp_path, m, flags, error):
+        # Both are proved at load, the multiplicity on its own line, so no
+        # instantiation refuses them.
         path = tmp_path / "pairs.dat"
         path.write_text(self.A_FAMILY.format(m=m, flags=flags))
         code, out, err = run("--pairs", str(path), "pairs", "list")
         assert (code, out) == (1, "")
-        assert err == f"error: line 1: toy(p+1)|toy(p): {message}\n"
+        assert err == f"error: {error}\n"
 
     def test_dim_m_wrong_above_p_min(self, run, tmp_path):
         # Right at p = 2 (3 + 2 + 0 = 5), wrong from p = 3: the identity in p
@@ -410,13 +415,37 @@ class TestUserSuppliedDatabase:
         assert (code, err) == (0, "")
         assert out == "key,type,rank,p,n,flags\ntoy(p+1)|toy(p),A,p,2:4,-,-\n"
 
-    def test_integer_valued_multiplicity_with_fractions_loads(self, run, tmp_path):
-        # p(p+1)/2 has coefficients 1/2 and an integer value at every p.
+    def test_multiplicity_of_degree_two_is_refused(self, run, tmp_path):
+        # p(p+1)/2 is an integer at every p, but no multiplicity of a
+        # symmetric space is of degree 2.
         path = tmp_path / "pairs.dat"
         path.write_text(self.A_FAMILY.format(m="p*(p+1)/2", flags=""))
-        code, out, err = run("--pairs", str(path), "--format", "csv", "pairs", "list")
-        assert (code, err) == (0, "")
-        assert out == "key,type,rank,p,n,flags\ntoy(p+1)|toy(p),A,p,2:*,-,-\n"
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == "error: line 6: expression 'p*(p+1)/2' is not affine in p and n\n"
+
+    @pytest.mark.parametrize("name,message", [
+        ("su(p/2)", "expression 'p/2' is not integral: 3/2"),
+        ("su(p*p)", "expression 'p*p' is not affine in p and n"),
+    ])
+    def test_name_part_is_affine_and_integral(self, run, tmp_path, name, message):
+        # su(p/2) renders at p = 2; it is refused at load, not by a table at p = 3.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.CUSTOM.replace("  g toy(2p+1)\n", f"  g {name}\n"))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: {message}\n"
+
+    def test_expression_of_high_degree_is_refused_at_once(self, run, tmp_path):
+        # A product of k factors expands in time that grows like k^3: 200
+        # factors took seconds before the degree cap refused them.
+        path = tmp_path / "pairs.dat"
+        product = "*".join(["(p+n+1)"] * 200)
+        path.write_text(self.CUSTOM.replace("dim_m 2*p*p+4*p", "dim_m " + product))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == (f"error: line 8: expression {product[:60]!r}... has degree above "
+                       f"{expr.MAX_DEGREE}\n")
 
     @pytest.mark.parametrize("name,message", [
         ("toy(p+m)", "expression 'p+m' needs a value for 'm'"),
@@ -451,9 +480,9 @@ class TestUserSuppliedDatabase:
         assert out == "key,type,rank,p,n,flags\ntoy(p+n)|toy(n),B,p,2:*,1:*,-\n"
 
     def test_table_value_not_affine_in_p(self, run, tmp_path):
-        # m = p*p gives l = (2p - 1) p^2 at the highest root.
+        # m = p gives l = (2p - 1) p at the highest root.
         path = tmp_path / "pairs.dat"
-        path.write_text(self.A_FAMILY.format(m="p*p", flags=""))
+        path.write_text(self.A_FAMILY.format(m="p", flags=""))
         code, out, err = run("--pairs", str(path), "table1")
         assert (code, out) == (2, "")
         assert err == "toy(p+1)|toy(p): table value is not affine in (p, n)\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -229,6 +230,26 @@ class TestFileFormat:
         with pytest.raises(PairsFormatError, match=rf"^line {line}: .* divides by zero$"):
             pairdb.parse_database(bad)
 
+    @pytest.mark.parametrize("old,new,line,field", [pytest.param(*case, id=case[3]) for case in [
+        ("  g x\n", "  g x\n  g nonsense(p)\n", 3, "g"),
+        ("  k y\n", "  k y\n  k y\n", 4, "k"),
+        ("  type B p\n", "  type B p\n  type C p\n", 5, "type"),
+        ("  params p 2 *\n", "  params p 2 *\n  params p 3 *\n", 6, "params p"),
+        ("  params p 2 *\n", "  params p 2 *\n  params n 0 *\n  params n 0 0\n", 7,
+         "params n"),
+        ("  dim_m p*p+p\n", "  dim_m 999\n  dim_m p*p+p\n", 9, "dim_m"),
+    ]])
+    def test_a_single_valued_field_given_twice(self, old, new, line, field):
+        # A second line used to replace the first, so a wrong first dim_m loaded.
+        with pytest.raises(PairsFormatError, match=rf"^line {line}: repeated field '{field}'$"):
+            pairdb.parse_database(self.RECORD.replace(old, new))
+
+    def test_a_multiplicity_below_one_in_a_fixed_rank_record(self):
+        # No parameter to name: the message ends at the value.
+        bad = "pair e|f\n  g e\n  k f\n  type G2 2\n  mult short 0\n  mult long 1\n  dim_m 5\nend\n"
+        with pytest.raises(PairsFormatError, match=r"^line 5: multiplicity '0' is 0 < 1$"):
+            pairdb.parse_database(bad)
+
     def test_error_reports_line(self):
         bad = "pair a|b\n  type B p\nnonsense here\nend\n"
         with pytest.raises(PairsFormatError, match="line 3"):
@@ -353,39 +374,65 @@ class TestExpressions:
             expr.compile_expr(text)(3)
         assert len(str(info.value)) < 120
 
-    @settings(max_examples=200, deadline=None)
-    @given(coeffs=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
-                                  st.integers(-6, 6), max_size=5),
-           den=st.integers(1, 12), p0=st.integers(-2, 3), n0=st.integers(-2, 3))
-    @example(coeffs={(2, 0): 1, (1, 0): 1}, den=2, p0=2, n0=0)  # p(p+1)/2 passes
-    @example(coeffs={(1, 0): 1}, den=2, p0=2, n0=0)  # p/2 fails at p = 3
-    @example(coeffs={(1, 1): 1, (0, 2): 1, (0, 1): 1}, den=2, p0=0, n0=0)  # pn/2 fails
-    def test_integral_on_the_corner_grid_is_integral_on_the_quadrant(
-            self, coeffs, den, p0, n0):
-        # Degree <= 3 in p and <= 2 in n: the check reads a 4 x 3 grid at most,
-        # and must agree with the values on a 12 x 9 window.
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.fixed_dictionaries({(0, 0): st.integers(-2, 8), (1, 0): st.integers(-2, 2),
+                                         (0, 1): st.integers(-2, 2)}),
+           den=st.integers(1, 3),
+           p_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))),
+           n_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))))
+    @example(coeffs={(1, 0): 1}, den=2, p_range=(2, None), n_range=None)  # p/2 at p = 3
+    @example(coeffs={(0, 0): 1, (0, 1): 1}, den=2, p_range=None, n_range=(1, 0))  # (n+1)/2
+    @example(coeffs={(0, 0): 4, (0, 1): -1}, den=1, p_range=None, n_range=(1, None))  # 4-n
+    @example(coeffs={(1, 0): 1}, den=1, p_range=None, n_range=(0, None))  # p with no range
+    @example(coeffs={(1, 1): 1}, den=1, p_range=(2, None), n_range=(1, None))  # p*n
+    @example(coeffs={(2, 0): 1, (1, 0): 1}, den=2, p_range=(2, None), n_range=None)
+    def test_affine_integral_and_positive_as_on_a_window(self, coeffs, den, p_range, n_range):
+        # f is integral at every p >= p_min and n >= n_min, whatever the
+        # maxima, and >= 1 on the ranges.  A constant of at most 8, other
+        # numerators of size <= 2, minima <= 2 and spans <= 3: f starts
+        # at most 22/den and a negative coefficient takes it below 1 within
+        # 22 steps, so a 30 x 30 window stands for an unbounded range.
         f = expr.Polynomial(coeffs, den)
-        integral = all(sum(c * p**i * n**j for c, i, j in f._terms) % f._den == 0
-                       for p in range(p0, p0 + 12) for n in range(n0, n0 + 9))
+        ranges = [None if r is None else (r[0], None if r[1] is None else r[0] + r[1])
+                  for r in (p_range, n_range)]
+
+        def window(bounded):
+            axes = [(None,) if r is None else
+                    range(r[0], r[0] + 30 if r[1] is None or not bounded else r[1] + 1)
+                    for r in ranges]
+            return [Fraction(sum(c * (p or 0)**i * (n or 0)**j for (i, j), c in coeffs.items()),
+                             den) for p in axes[0] for n in axes[1]]
+
+        unset = [name for name, r in zip("pn", ranges) if r is None and name in f.variables]
         try:
-            f.check_integral(p0, n0)
+            f.check_affine(*(r and r[0] for r in ranges))
+            f.check_positive(*ranges)
         except ValueError as exc:
-            assert "is not integral" in str(exc)
-            assert not integral
+            message = str(exc)
         else:
-            assert integral
+            message = None
+        if f.degree > 1:
+            assert message.endswith("is not affine in p and n")
+        elif unset:
+            assert message.endswith(f"needs a value for {unset[0]!r}")
+        elif any(v.denominator != 1 for v in window(bounded=False)):
+            assert "is not integral: " in message
+        elif min(window(bounded=True)) < 1:
+            assert re.search(r"is -?\d+ < 1 at|falls below 1 as [pn] grows$", message)
+        else:
+            assert message is None
 
     @settings(max_examples=200, deadline=None)
-    @given(coeffs=st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                                  st.integers(-2, 2), max_size=4),
+    @given(coeffs=st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+                                  st.integers(-2, 2), max_size=3),
            p_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))),
            n_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))))
     @example(coeffs={(0, 0): 3, (1, 0): -1}, p_range=(2, None), n_range=(0, 0))  # 3-p
-    @example(coeffs={(0, 0): 2, (1, 1): 1, (0, 1): -1}, p_range=(2, None), n_range=(0, None))
+    @example(coeffs={(0, 0): 2, (1, 0): 1, (0, 1): -1}, p_range=(2, None), n_range=(0, None))
     def test_least_at_the_corners_or_falling_along_an_axis(self, coeffs, p_range, n_range):
-        # Degree <= 1 in p and in n, integer coefficients of size <= 2 and
-        # minima <= 2: a negative slope takes f below 1 within 30 steps, so
-        # a 30 x 30 window stands for an unbounded range.
+        # Affine f with integer coefficients of size <= 2 and minima <= 2:
+        # a negative coefficient takes f below 1 within 30 steps, so a
+        # 30 x 30 window stands for an unbounded range.
         f = expr.Polynomial(coeffs)
         p_range, n_range = [(lo, None if span is None else lo + span)
                             for lo, span in (p_range, n_range)]
@@ -393,18 +440,13 @@ class TestExpressions:
                           for lo, hi in (p_range, n_range)]
         least = min(sum(c * p**i * n**j for c, i, j in f._terms) for p in p_axis for n in n_axis)
         try:
-            f.check_least(1, p_range, n_range)
+            f.check_positive(p_range, n_range)
         except ValueError as exc:
             assert re.search(r"is -?\d+ < 1 at p=\d+, n=\d+|falls below 1 as [pn] grows",
                              str(exc))
             assert least < 1
         else:
             assert least >= 1
-
-    def test_integral_without_a_parameter(self):
-        expr.compile_expr("n*(n+1)/2").check_integral(None, 0)
-        with pytest.raises(ValueError, match="needs a value for 'p'"):
-            expr.compile_expr("p*n").check_integral(None, 1)
 
     def test_missing_value(self):
         with pytest.raises(ValueError, match="needs a value"):
