@@ -424,6 +424,28 @@ class TestExpressions:
 
     @settings(max_examples=200, deadline=None)
     @given(coeffs=st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+                                  st.integers(-6, 6), max_size=3),
+           den=st.integers(1, 12), p0=st.integers(-2, 3), n0=st.integers(-2, 3))
+    @example(coeffs={(1, 0): 1}, den=2, p0=2, n0=0)  # p/2 fails at p = 3
+    @example(coeffs={(0, 0): 1, (1, 0): 1, (0, 1): 1}, den=2, p0=1, n0=0)  # (p+n+1)/2 fails
+    @example(coeffs={(1, 0): 2, (0, 1): 4}, den=2, p0=-1, n0=3)  # p+2n passes
+    def test_integral_on_the_corner_grid_is_integral_on_the_quadrant(
+            self, coeffs, den, p0, n0):
+        # check_affine reads f at (p0, n0) and one step along each variable,
+        # and must agree with the values on a 12 x 9 window.
+        f = expr.Polynomial(coeffs, den)
+        integral = all(sum(c * p**i * n**j for c, i, j in f._terms) % f._den == 0
+                       for p in range(p0, p0 + 12) for n in range(n0, n0 + 9))
+        try:
+            f.check_affine(p0, n0)
+        except ValueError as exc:
+            assert "is not integral" in str(exc)
+            assert not integral
+        else:
+            assert integral
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1)]),
                                   st.integers(-2, 2), max_size=3),
            p_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))),
            n_range=st.tuples(st.integers(0, 2), st.sampled_from((None, 0, 1, 3))))
@@ -447,6 +469,11 @@ class TestExpressions:
             assert least < 1
         else:
             assert least >= 1
+
+    def test_integral_without_a_parameter(self):
+        expr.compile_expr("(2n+4)/2").check_affine(None, 0)
+        with pytest.raises(ValueError, match="needs a value for 'p'"):
+            expr.compile_expr("p+n").check_affine(None, 1)
 
     def test_missing_value(self):
         with pytest.raises(ValueError, match="needs a value"):
