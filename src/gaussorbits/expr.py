@@ -72,7 +72,7 @@ class Polynomial:
             self(p0, n0 + 1)
 
     def check_positive(self, p_range, n_range) -> None:
-        """Raise ValueError unless the affine f, a multiplicity, is >= 1 on the ranges.
+        """Raise ValueError unless the affine f is >= 1 on the ranges.
 
         A range is (min, max), max None when unbounded, or None for an unused
         parameter.  f is least at a corner of the ranges, unless it falls
@@ -84,7 +84,7 @@ class Polynomial:
             if (value := self(p, n)) < 1:
                 at = ", ".join(f"{name}={v}" for name, v in zip("pn", (p, n)) if v is not None)
                 at = f" at {at}" if at else ""  # no parameter in a fixed-rank record
-                raise ValueError(f"multiplicity {self._shown()} is {value} < 1{at}")
+                raise ValueError(f"expression {self._shown()} is {value} < 1{at}")
         for c, i, j in self._terms:
             if c < 0 and i + j and ranges[j][1] is None:
                 raise ValueError(f"expression {self._shown()} falls below 1 as {'pn'[j]} grows")

@@ -73,7 +73,7 @@ def ferus_identity_check(q: int) -> bool:
 def _scan_orbits(classes) -> tuple[str, ...]:
     # One orbit per class, longest first, except a class whose roots lie on
     # the line of a class four times as long: BC's e_i and 2e_i share a ray.
-    lengths = [length for _, length, _ in classes]
+    lengths = [length for _, length, _, _ in classes]
     labels = rootsys.length_labels(lengths)
     return tuple(labels[length] for length in labels if 4 * length not in lengths)
 

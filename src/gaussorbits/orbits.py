@@ -118,7 +118,7 @@ _wall_counts: dict = {}
 
 # The class lengths of each family, longest first.
 _LENGTHS_DOWN = {
-    family: sorted((length for _, length, _ in classes), reverse=True)
+    family: sorted((length for _, length, _, _ in classes), reverse=True)
     for family, classes in rootsys.CLASSES.items()
 }
 
@@ -192,7 +192,7 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     # For nu orthogonal to lam, |lam + nu|^2 = |lam|^2 + |nu|^2, so lam + nu
     # can be a root only when that sum is a class length; for a long lam
     # no class passes.
-    lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
+    lengths = [length for _, length, _, _ in rootsys.CLASSES[system.rstype.family]]
     lam_length = lengths[system.class_index(lam)]
     passing = {c for c, length in enumerate(lengths) if lam_length + length in lengths}
     if not passing:

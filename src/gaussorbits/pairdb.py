@@ -125,6 +125,11 @@ class PairFamily:
     def uses_n(self) -> bool:
         return self.n_min is not None
 
+    def class_sum(self, counts) -> Polynomial:
+        """Sum over the classes of count(rank) * m, counts in CLASSES order: a polynomial."""
+        rank = P if self.rank_expr == "p" else int(self.rank_expr)
+        return sum((c if rank is P else c(rank)) * m for c, (_, m) in zip(counts, self.mult))
+
     def _parameter(self, name: str, value: int | None, lo: int | None, hi: int | None):
         """value checked against the bounds [lo, hi]; None for an unused parameter."""
         if lo is None:
@@ -290,8 +295,13 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     if (rank is P) != ("params p" in rec):
         which = "rank p but no" if rank is P else "fixed rank and"
         raise PairsFormatError(f"pair {rec['key']!r} has {which} params p", line)
+    p_min, p_max = rec.get("params p", (None, None))
+    n_min, n_max = rec.get("params n", (None, None))
+    # The class counts of CLASSES hold from rank 2 up.
+    if (low := p_min if rank is P else rank) < 2:
+        raise PairsFormatError(f"{rec['key']}: rank {low} < 2", line)
     tags = [tag for tag, _ in rec["mult"]]
-    expected = {tag for tag, _, _ in rootsys.CLASSES[family]}
+    expected = {tag for tag, *_ in rootsys.CLASSES[family]}
     if set(tags) != expected or len(tags) != len(expected):
         raise PairsFormatError(
             f"pair {rec['key']!r} classes {sorted(tags)} != {sorted(expected)}", line
@@ -304,8 +314,6 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
             f"pair {rec['key']!r}: params n must be present exactly when n is used",
             line,
         )
-    p_min, p_max = rec.get("params p", (None, None))
-    n_min, n_max = rec.get("params n", (None, None))
     dim_m = exprs.pop("dim_m")
     # A multiplicity is affine in p and n (Araki's tables): a few values prove
     # it integral and >= 1 on the ranges, so instantiate only evaluates it.
@@ -324,23 +332,22 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
         p_max=p_max,
         n_min=n_min,
         n_max=n_max,
-        mult=tuple((tag, exprs[tag]) for tag, _, _ in rootsys.CLASSES[family]),
+        mult=tuple((tag, exprs[tag]) for tag, *_ in rootsys.CLASSES[family]),
         flags=frozenset(rec["flags"]),
         aliases=tuple(rec["aliases"]),
     )
     # The smallest instantiation surfaces a bad rank at load.
     _on_line(line, fam.instantiate, p_min, n_min)
-    # dim_m is the multiplicity total plus the rank at every (p, n), one
-    # polynomial identity; a class count is a polynomial in the rank.
-    counted = sum((count if rank is P else count(rank)) * exprs[tag]
-                  for tag, _, count in rootsys.CLASSES[family])
+    # dim_m is the multiplicity total plus the rank: one polynomial identity.
+    counted = fam.class_sum(count for _, _, count, _ in rootsys.CLASSES[family])
     if counted + rank != dim_m:
         raise PairsFormatError(
             f"{fam.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}", line)
-    # A name renders at the smallest (p, n), and each part is affine and integral.
+    # A name renders at the smallest (p, n), and each part is affine, integral and >= 1.
     _on_line(line, fam.names, p_min, n_min)
-    for part in _NAME_PART.findall(fam.g_name) + _NAME_PART.findall(fam.k_name):
-        _on_line(line, compile_expr(part).check_affine, p_min, n_min)
+    for part in map(compile_expr, _NAME_PART.findall(fam.g_name) + _NAME_PART.findall(fam.k_name)):
+        _on_line(line, part.check_affine, p_min, n_min)
+        _on_line(line, part.check_positive, rec.get("params p"), rec.get("params n"))
     return fam
 
 

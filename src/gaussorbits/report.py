@@ -1,10 +1,11 @@
 """Table builders and emitters (markdown, CSV, JSON) plus the golden check.
 
-Formulas in the classification table are affine in the family integers p
-and n; symbolic rows are produced by fitting that affine form to computed
-values and are rendered like "4p+2n-7".  The embedded golden file
-`table1.expected` stores the published formulas in the same normal form,
-so `check_table1` can diff both the symbolic table and any numeric
+Each symbolic row of the classification table is an identity in the
+family integers p and n: l at the highest root is a sum of class counts
+times multiplicities, all polynomials, and is rendered in their normal
+form, like "4p+2n-7".  The embedded golden file `table1.expected` stores
+the published formulas in the same normal form, so `check_table1` can
+diff both the symbolic table and the classified values over an
 instantiation grid against it.
 """
 
@@ -17,11 +18,10 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import groupby
 from operator import attrgetter
 
-from . import ferus, orbits, pairdb
-from .expr import N, P, compile_expr
+from . import ferus, orbits, pairdb, rootsys
+from .expr import compile_expr
 from .rootsys import RootVec
 
 
@@ -51,50 +51,22 @@ class Table1Row:
             raise ValueError(f"degeneracy {self.degeneracy} != l-r = {got}")
 
 
-def _affine_fit(family: pairdb.PairFamily, lr: dict) -> Table1Row:
-    """The row of `family`, with (l, r) formulas fitted and checked on lr[p, n].
-
-    The first point of lr is the base point of the fit; l - r there is the
-    degeneracy that Table1Row checks to be constant.
-    """
-    p0, n0 = next(iter(lr))
-    formulas = []
-    for component in (0, 1):
-        base = lr[p0, n0][component]
-        a = lr[p0 + 1, n0][component] - base if family.uses_p else 0
-        b = lr[p0, n0 + 1][component] - base if family.uses_n else 0
-        formula = base + a * (P - (p0 or 0)) + b * (N - (n0 or 0))
-        if any(v[component] != formula(p, n) for (p, n), v in lr.items()):
-            raise VerificationFailure(f"{family.key}: table value is not affine in (p, n)")
-        formulas.append(str(formula))
-    l, r = lr[p0, n0]
-    return Table1Row(
-        rstype=family.family,
-        rank=family.rank_expr,
-        g=family.g_name,
-        k=family.k_name,
-        l=formulas[0],
-        r=formulas[1],
-        degeneracy=l - r,
-    )
-
-
 def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
-    """Symbolic classification table, one row per database family."""
-    # Each family is fitted at (p_min + dp, n_min + dn) for the steps that
-    # move only parameters it uses; instantiate() ignores an unused p or n.
-    fits = orbits.sweep(
-        family.instantiate(p=(family.p_min or 0) + dp, n=(family.n_min or 0) + dn)
-        for family in db
-        for dp, dn in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 3), (3, 2))
-        if (family.uses_p or not dp) and (family.uses_n or not dn)
-    )
-    # Each family's points are one run of the sweep.
-    runs = groupby(fits, key=lambda fit: fit[0].family.key)
-    return [
-        _affine_fit(family, {(pair.p, pair.n): (rep.l, rep.r) for pair, _, rep in points})
-        for family, (_, points) in zip(db, runs)
-    ]
+    """Symbolic classification table, one row per database family.
+
+    The orbit through the highest root theta is degenerate, theta being
+    long: l sums each class's multiplicity over its roots not orthogonal
+    to theta, and l - r is the multiplicity of theta's class, the last.
+    """
+    rows = []
+    for family in db:
+        l = family.class_sum(theta for *_, theta in rootsys.CLASSES[family.family])
+        degeneracy = family.mult[-1][1]
+        if degeneracy.variables:
+            raise VerificationFailure(f"{family.key}: l-r = {degeneracy} is not constant")
+        rows.append(Table1Row(family.family, family.rank_expr, family.g_name, family.k_name,
+                              l=str(l), r=str(l - degeneracy), degeneracy=degeneracy()))
+    return rows
 
 
 @dataclass(frozen=True)

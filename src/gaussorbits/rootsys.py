@@ -207,22 +207,24 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
-# pairs.dat: (tag, squared length, number of positive roots at rank p).
+# pairs.dat, longest last: (tag, squared length, positive roots at rank p,
+# those not orthogonal to the highest root, from rank 2 up; in a reduced
+# family these sum to 2h-3, h the dual Coxeter number, Kac's Table Aff 1).
 CLASSES = {
-    "A": (("all", 2, compile_expr("p*(p+1)/2")),),
-    "B": (("e_i", 1, compile_expr("p")), ("e_i+-e_j", 2, compile_expr("p*(p-1)"))),
-    "C": (("e_i+-e_j", 2, compile_expr("p*(p-1)")), ("2e_i", 4, compile_expr("p"))),
-    "D": (("all", 2, compile_expr("p*(p-1)")),),
-    "BC": (
-        ("e_i", 1, compile_expr("p")),
-        ("e_i+-e_j", 2, compile_expr("p*(p-1)")),
-        ("2e_i", 4, compile_expr("p")),
-    ),
-    "E6": (("all", 2, compile_expr("36")),),
-    "E7": (("all", 2, compile_expr("63")),),
-    "E8": (("all", 2, compile_expr("120")),),
-    "F4": (("short", 1, compile_expr("12")), ("long", 2, compile_expr("12"))),
-    "G2": (("short", 2, compile_expr("3")), ("long", 6, compile_expr("3"))),
+    family: tuple((tag, length, compile_expr(count), compile_expr(theta))
+                  for tag, length, count, theta in classes)
+    for family, classes in {
+        "A": (("all", 2, "p*(p+1)/2", "2p-1"),),
+        "B": (("e_i", 1, "p", "2"), ("e_i+-e_j", 2, "p*(p-1)", "4p-7")),
+        "C": (("e_i+-e_j", 2, "p*(p-1)", "2p-2"), ("2e_i", 4, "p", "1")),
+        "D": (("all", 2, "p*(p-1)", "4p-7"),),
+        "BC": (("e_i", 1, "p", "1"), ("e_i+-e_j", 2, "p*(p-1)", "2p-2"), ("2e_i", 4, "p", "1")),
+        "E6": (("all", 2, "36", "21"),),
+        "E7": (("all", 2, "63", "33"),),
+        "E8": (("all", 2, "120", "57"),),
+        "F4": (("short", 1, "12", "6"), ("long", 2, "12", "9")),
+        "G2": (("short", 2, "3", "2"), ("long", 6, "3", "3")),
+    }.items()
 }
 
 
@@ -341,7 +343,7 @@ class RootSystem:
         object.__setattr__(self, "positive_roots", positive)
         # Class index into CLASSES[family] of each positive root; None for a
         # length no class has, which _check_build rejects.
-        index = {length: i for i, (_, length, _) in enumerate(CLASSES[rstype.family])}
+        index = {length: i for i, (_, length, _, _) in enumerate(CLASSES[rstype.family])}
         classes = tuple(map(index.get, norms))
         object.__setattr__(self, "positive_classes", classes)
         object.__setattr__(self, "highest_root", highest_root)
@@ -691,7 +693,7 @@ def _check_build(system: RootSystem) -> None:
     if None in classes:
         v = system.positive_roots[classes.index(None)]
         raise InvariantViolation(f"{label}: positive root {v!r} fits no length class")
-    for i, (tag, _, count) in enumerate(CLASSES[family]):
+    for i, (tag, _, count, _) in enumerate(CLASSES[family]):
         got = classes.count(i)
         if got != count(rank):
             raise InvariantViolation(

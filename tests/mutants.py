@@ -100,9 +100,18 @@ MUTANTS = (
      "",
      "tests/test_pairdb.py::TestInstantiations::test_a_name_is_checked_at_load"),
     ("pairdb.py",
-     "_on_line(line, compile_expr(part).check_affine, p_min, n_min)",
+     "_on_line(line, part.check_affine, p_min, n_min)",
      "pass",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_name_part_is_affine_and_integral"),
+    ("pairdb.py",
+     "        _on_line(line, part.check_positive, rec.get(\"params p\"), rec.get(\"params n\"))\n",
+     "",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_name_part_below_one_is_refused"),
+    # pairdb._finish_record: the class counts hold from rank 2 up
+    ("pairdb.py",
+     "if (low := p_min if rank is P else rank) < 2:",
+     "if False:",
+     "tests/test_cli.py::TestUserSuppliedDatabase::test_rank_below_two_is_refused"),
     ("pairdb.py",
      "if _NESTED.search(name):",
      "if False:",
@@ -193,10 +202,15 @@ MUTANTS = (
      "if got != compile_expr(str(self.degeneracy)):",
      "if False:",
      "tests/test_report.py::TestTable1::test_degeneracy_validation"),
+    # report.table1_rows: theta's class is the last, and its counts are exact
     ("report.py",
-     "if any(v[component] != formula(p, n) for (p, n), v in lr.items()):",
-     "if False:",
-     "tests/test_cli.py::TestUserSuppliedDatabase::test_table_value_not_affine_in_p"),
+     "degeneracy = family.mult[-1][1]",
+     "degeneracy = family.mult[0][1]",
+     "tests/test_report.py::TestTable1::test_symbolic_rows_match_golden"),
+    ("rootsys.py",
+     '"D": (("all", 2, "p*(p-1)", "4p-7"),),',
+     '"D": (("all", 2, "p*(p-1)", "4p-6"),),',
+     "tests/test_rootsys.py::TestHighestRootCounts::test_counts_match_built_systems"),
     # cayley
     ("cayley.py",
      "            if pairing % den:",

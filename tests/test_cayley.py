@@ -11,6 +11,14 @@ from gaussorbits.rootsys import InvariantViolation
 from reference import rootvec
 
 AMBIENTS = ("G2", "F4", "E6", "E7", "E8")
+# The pairs.dat record of the quaternionic pair g | su(2)+k of each ambient g.
+QUATERNIONIC = {
+    "G2": "g2|so(4)",
+    "F4": "f4|su(2)+sp(3)",
+    "E6": "e6|su(2)+su(6)",
+    "E7": "e7|su(2)+so(12)",
+    "E8": "e8|su(2)+e7",
+}
 
 
 def combos(system, coeff_lists):
@@ -170,13 +178,6 @@ class TestProjectedSystem:
 
     def test_orbit_dimensions_match_pair_database(self, data):
         db = pairdb.load_database()
-        pair_keys = {
-            "G2": "g2|so(4)",
-            "F4": "f4|su(2)+sp(3)",
-            "E6": "e6|su(2)+su(6)",
-            "E7": "e7|su(2)+so(12)",
-            "E8": "e8|su(2)+e7",
-        }
         want_l = {"G2": 5, "F4": 15, "E6": 21, "E7": 33, "E8": 57}
         for name in AMBIENTS:
             datum = data[name]
@@ -188,7 +189,7 @@ class TestProjectedSystem:
                 if key(v) > key(-v) and not rootsys.is_orthogonal(v, d)
             )
             assert l == want_l[name]
-            pair = db.get(pair_keys[name]).instantiate()
+            pair = db.get(QUATERNIONIC[name]).instantiate()
             system = pair.system()
             assert orbits.classify(pair, system.highest_root).l == l
 
@@ -372,6 +373,15 @@ class TestVerifyAppendix:
         if name in ("E6", "E7", "E8"):
             mult = dict(verdict.multiplicities)
             assert verdict.preimage_cardinalities == (mult["short"], mult["short"])
+
+    @pytest.mark.parametrize("name", AMBIENTS)
+    def test_projection_agrees_with_pairs_dat(self, name):
+        # The restricted type and multiplicities, derived from the complex
+        # root system alone, check the pair's record independently.
+        verdict = cayley.verify_appendix(rootsys.build(name))
+        pair = pairdb.load_database().get(QUATERNIONIC[name]).instantiate()
+        assert verdict.projected_type == pair.rstype.label()
+        assert dict(verdict.multiplicities) == dict(pair.mult_by_class)
 
     def test_projection_needs_m_roots(self):
         with pytest.raises(InvariantViolation):

@@ -363,7 +363,7 @@ class TestUserSuppliedDatabase:
         pytest.param("3", "  flags group_manifold\n",
                      "line 1: toy(p+1)|toy(p): group manifold with multiplicities != 2",
                      id="3-  flags group_manifold\n-group manifold with multiplicities != 2"),
-        pytest.param("p-2", "", "line 6: multiplicity 'p-2' is 0 < 1 at p=2",
+        pytest.param("p-2", "", "line 6: expression 'p-2' is 0 < 1 at p=2",
                      id="p-2--multiplicity of all is 0 < 1"),
     ])
     def test_instantiate_refuses_the_smallest_pair(self, run, tmp_path, m, flags, error):
@@ -479,13 +479,57 @@ class TestUserSuppliedDatabase:
         assert (code, err) == (0, "")
         assert out == "key,type,rank,p,n,flags\ntoy(p+n)|toy(n),B,p,2:*,1:*,-\n"
 
+    def test_table1_on_a_bounded_range(self, run, tmp_path):
+        # The row is one identity in p, so a range of two values is enough.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.A_FAMILY.format(m="1", flags="").replace(
+            "params p 2 *", "params p 2 3"))
+        code, out, err = run("--pairs", str(path), "--format", "csv", "table1")
+        assert (code, err) == (0, "")
+        assert out == "type,rank,g,k,l,r,l-r\nA,p,toy(p+1),toy(p),2p-1,2p-2,1\n"
+
+    # C_p with m(e_i+-e_j) = p: l = (2p-2) p + 1 at the highest root.
+    C_QUADRATIC = (
+        "pair sq(p)|toy(p)\n  g sq(p)\n  k toy(p)\n  type C p\n  params p 2 *\n"
+        "  mult e_i+-e_j p\n  mult 2e_i 1\n  dim_m p*p*p-p*p+2p\nend\n"
+    )
+
+    def test_table1_with_l_of_degree_two(self, run, tmp_path):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.C_QUADRATIC)
+        code, out, err = run("--pairs", str(path), "--format", "csv", "table1")
+        assert (code, err) == (0, "")
+        assert out == "type,rank,g,k,l,r,l-r\nC,p,sq(p),toy(p),2p*p-2p+1,2p*p-2p,1\n"
+
+    @pytest.mark.parametrize("rank,params,dim_m", [
+        pytest.param("p", "  params p 1 *\n", "p*p+p", id="at-p_min"),
+        pytest.param("1", "", "2", id="fixed"),
+    ])
+    def test_rank_below_two_is_refused(self, run, tmp_path, rank, params, dim_m):
+        # B_1's one root e_1 breaks the class counts, which hold from rank 2 up.
+        path = tmp_path / "pairs.dat"
+        path.write_text(f"pair x|y\n  g x\n  k y\n  type B {rank}\n{params}"
+                        f"  mult e_i 1\n  mult e_i+-e_j 1\n  dim_m {dim_m}\nend\n")
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: x|y: rank 1 < 2\n"
+
+    def test_name_part_below_one_is_refused(self, run, tmp_path):
+        # toy(p-3) would print as toy(-1) at p = 2.
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.CUSTOM.replace("  k toy(p)\n", "  k toy(p-3)\n"))
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: expression 'p-3' is -1 < 1 at p=2\n"
+
     def test_table_value_not_affine_in_p(self, run, tmp_path):
-        # m = p gives l = (2p - 1) p at the highest root.
+        # m = p gives l = (2p - 1) p at the highest root, exact as a polynomial;
+        # the degeneracy l - r = p is what no table row can hold.
         path = tmp_path / "pairs.dat"
         path.write_text(self.A_FAMILY.format(m="p", flags=""))
         code, out, err = run("--pairs", str(path), "table1")
         assert (code, out) == (2, "")
-        assert err == "toy(p+1)|toy(p): table value is not affine in (p, n)\n"
+        assert err == "toy(p+1)|toy(p): l-r = p is not constant\n"
 
 
 class TestFixedRankFamilyWithN:

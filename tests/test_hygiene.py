@@ -182,5 +182,6 @@ def test_one_parser_and_one_expression_language():
         or isinstance(node, ast.ImportFrom) and node.module == "ast"
     ]
     assert parsers == ["expr.py"]
-    counts = [count for classes in rootsys.CLASSES.values() for _, _, count in classes]
+    counts = [count for classes in rootsys.CLASSES.values() for _, _, *pair in classes
+              for count in pair]
     assert all(isinstance(count, expr.Polynomial) for count in counts)

@@ -213,7 +213,7 @@ class TestFileFormat:
             (lambda t: t.replace("type B p", "type Q p"), "unknown family"),
             (lambda t: t.replace("flags", "flag") if "flags" in t else t.replace("  g x\n", "  flag z\n"), "unknown field"),
             (lambda t: t.replace("  mult e_i 1\n", ""), "classes"),
-            (lambda t: t.replace("mult e_i 1", "mult e_i 0"), "multiplicity"),
+            (lambda t: t.replace("mult e_i 1", "mult e_i 0"), "is 0 < 1"),
             (lambda t: t.replace("dim_m p*p+p", "dim_m p*p"), "rank"),
             (lambda t: t.replace("end\n", ""), "unterminated"),
             (lambda t: t.replace("params p 2 *", "params p two *"), "bad params"),
@@ -247,7 +247,7 @@ class TestFileFormat:
     def test_a_multiplicity_below_one_in_a_fixed_rank_record(self):
         # No parameter to name: the message ends at the value.
         bad = "pair e|f\n  g e\n  k f\n  type G2 2\n  mult short 0\n  mult long 1\n  dim_m 5\nend\n"
-        with pytest.raises(PairsFormatError, match=r"^line 5: multiplicity '0' is 0 < 1$"):
+        with pytest.raises(PairsFormatError, match=r"^line 5: expression '0' is 0 < 1$"):
             pairdb.parse_database(bad)
 
     def test_error_reports_line(self):
@@ -269,7 +269,7 @@ class TestInstantiations:
         "  mult short n\n  mult long 1\n  dim_m 3*n+5\nend\n"
     )
     B_BOUNDED = (
-        "pair x|y(n)\n  g x\n  k y(n)\n  type B p\n  params p 2 3\n  params n 0 *\n"
+        "pair x|y(n)\n  g x\n  k y(n+1)\n  type B p\n  params p 2 3\n  params n 0 *\n"
         "  mult e_i n+1\n  mult e_i+-e_j 1\n  dim_m p*(p+n+1)\nend\n"
     )
 
@@ -306,7 +306,7 @@ class TestInstantiations:
             next(fam.instantiations(p_range=(2, 9), n_range=(0, 10**30)))
 
     def test_a_name_is_checked_at_load(self):
-        bad = self.B_BOUNDED.replace("  k y(n)", "  k y(n/0)")
+        bad = self.B_BOUNDED.replace("  k y(n+1)", "  k y(n/0)")
         with pytest.raises(PairsFormatError, match=r"^line 1: .* divides by zero$"):
             pairdb.parse_database(bad)
 

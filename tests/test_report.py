@@ -110,6 +110,42 @@ class TestTable1:
         fixed = by_name[("e8", "so(16)", None, None)]
         assert (fixed.l, fixed.r) == (57, 56)
 
+    def test_rows_are_derived_without_a_build_or_a_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table1_rows classified an orbit")
+
+        for name in ("sweep", "classify"):
+            monkeypatch.setattr(orbits, name, refuse)
+        fresh = pairdb.parse_database(PAIRS_DAT)
+        before = rootsys._build_cached.cache_info()
+        assert report.table1_rows(fresh) == report.load_expected()
+        after = rootsys._build_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    # A bounded p range, and an l of degree 2 in p: each derived row must be
+    # the classified value at every point of the grid.
+    DERIVED = {
+        "bounded": ("pair toy(p+1)|toy(p)\n  g toy(p+1)\n  k toy(p)\n  type A p\n"
+                    "  params p 2 3\n  mult all 1\n  dim_m p*(p+3)/2\nend\n",
+                    "2p-1", "2p-2", 2),
+        "quadratic": ("pair sq(p)|toy(p)\n  g sq(p)\n  k toy(p)\n  type C p\n"
+                      "  params p 2 *\n  mult e_i+-e_j p\n  mult 2e_i 1\n"
+                      "  dim_m p*p*p-p*p+2p\nend\n",
+                      "2p*p-2p+1", "2p*p-2p", 11),
+    }
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_derived_row_is_the_classified_value_on_a_grid(self, name):
+        text, l, r, points = self.DERIVED[name]
+        user_db = pairdb.parse_database(text)
+        [row] = report.table1_rows(user_db)
+        assert (row.l, row.r, row.degeneracy) == (l, r, 1)
+        instances = report.table1_instances(user_db, p_range=(2, 12), n_range=(0, 0))
+        assert len(instances) == points
+        for inst in instances:
+            want = (expr.compile_expr(l)(inst.p), expr.compile_expr(r)(inst.p), 1)
+            assert (inst.l, inst.r, inst.degeneracy) == want
+
     def test_degeneracy_validation(self):
         with pytest.raises(ValueError):
             report.Table1Row(

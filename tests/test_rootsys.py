@@ -121,8 +121,8 @@ class TestBuild:
         assert len(system.positive_roots) == COUNTS[family](rank)
 
     @pytest.mark.parametrize("long_class,message", [
-        (("long", 6, lambda p: 4), "3 positive roots of class long, expected 4"),
-        (("long", 5, lambda p: 3), "fits no length class"),
+        (("long", 6, lambda p: 4, lambda p: 3), "3 positive roots of class long, expected 4"),
+        (("long", 5, lambda p: 3, lambda p: 3), "fits no length class"),
     ])
     def test_class_table_disagreement_is_invariant_violation(
         self, monkeypatch, long_class, message
@@ -313,6 +313,35 @@ class TestOrderAndClasses:
             for i, h in enumerate(system.fundamental_coweights()):
                 for j, alpha in enumerate(system.simple_roots):
                     assert rs.inner(h, alpha) == int(i == j)
+
+
+class TestHighestRootCounts:
+    """The last count of each CLASSES entry, the roots not orthogonal to theta."""
+
+    # The dual Coxeter number h of each reduced family at rank p (Kac,
+    # Infinite-dimensional Lie algebras, Table Aff 1).
+    DUAL_COXETER = {"A": lambda p: p + 1, "B": lambda p: 2 * p - 1, "C": lambda p: p + 1,
+                    "D": lambda p: 2 * p - 2, "E6": lambda p: 12, "E7": lambda p: 18,
+                    "E8": lambda p: 30, "F4": lambda p: 9, "G2": lambda p: 4}
+
+    @pytest.mark.parametrize("family", rs.FAMILIES)
+    def test_counts_match_built_systems(self, family):
+        fixed = rs._FIXED_RANK.get(family)
+        for rank in [fixed] if fixed else [*range(2, 31), rs.MAX_RANK]:
+            system = rs.build(family, rank)
+            tally = [0] * len(rs.CLASSES[family])
+            for v, c in zip(system.positive_roots, system.positive_classes):
+                tally[c] += not rs.is_orthogonal(v, system.highest_root)
+            assert tally == [theta(rank) for *_, theta in rs.CLASSES[family]], rank
+            assert system.class_index(system.highest_root) == len(tally) - 1
+            if family != "BC":
+                assert sum(tally) == 2 * self.DUAL_COXETER[family](rank) - 3, rank
+
+    def test_lengths_ascend(self):
+        # Table 1 reads the last class as the highest root's, the longest.
+        for family, classes in rs.CLASSES.items():
+            lengths = [length for _, length, _, _ in classes]
+            assert lengths == sorted(set(lengths)), family
 
 
 class TestExceptionalTranscription:
@@ -538,7 +567,7 @@ class TestIntegerOrder:
         ks = keys(ordered)
         assert all(a < b for a, b in zip(ks, ks[1:]))
         norms = tuple(sum(c * c for c in k if c) for k in ks)
-        index = {length: i for i, (_, length, _) in enumerate(rs.CLASSES[family])}
+        index = {length: i for i, (_, length, _, _) in enumerate(rs.CLASSES[family])}
         assert system.positive_classes == tuple(index[m] for m in norms)
         assert system.highest_root == highest == ordered[-1]
         if rank > 4:
@@ -652,8 +681,8 @@ class TestCheckBuild:
         simple = list(system.simple_roots)
         highest = max(simple, key=system.sort_key)
         classes = [
-            (tag, length, lambda p, k=sum(system.class_index(s) == i for s in simple): k)
-            for i, (tag, length, _) in enumerate(rs.CLASSES[family])
+            (tag, length, lambda p, k=sum(system.class_index(s) == i for s in simple): k, theta)
+            for i, (tag, length, _, theta) in enumerate(rs.CLASSES[family])
         ]
         monkeypatch.setitem(
             rs._CONSTRUCTORS, family,
@@ -725,7 +754,7 @@ class TestCheckBuild:
         # assumes an irreducible system).
         a, b = rootvec(1, -1, 0, 0), rootvec(0, 0, 1, -1)
         monkeypatch.setitem(rs._CONSTRUCTORS, "A", lambda p: ([a, b], [a, b], a, (0, 1, 2, 3)))
-        monkeypatch.setitem(rs.CLASSES, "A", (("all", 2, lambda p: 2),))
+        monkeypatch.setitem(rs.CLASSES, "A", (("all", 2, lambda p: 2, lambda p: 1),))
         rs._build_cached.cache_clear()
         try:
             with pytest.raises(
