@@ -46,10 +46,12 @@ def _parse_range(text: str | None, default: tuple[int, int]) -> tuple[int, int]:
 @click.pass_context
 def cli(ctx, fmt, pairs_path):
     """Classify isotropy orbits with degenerate Gauss maps, exactly."""
-    ctx.obj = {
-        "fmt": fmt,
-        "db": pairdb.load_database(pairs_path),
-    }
+    ctx.obj = {"fmt": fmt, "pairs": pairs_path}
+
+
+def _database(ctx) -> pairdb.PairDatabase:
+    # Loaded by the commands that read it, so a bad --pairs file fails only those.
+    return pairdb.load_database(ctx.obj["pairs"])
 
 
 @cli.command("table1")
@@ -59,7 +61,7 @@ def cli(ctx, fmt, pairs_path):
 @click.pass_context
 def table1_cmd(ctx, p_range, n_range, check):
     """Print (or verify) the classification table of degenerate orbits."""
-    db = ctx.obj["db"]
+    db = _database(ctx)
     fmt = ctx.obj["fmt"]
     grid = {
         "p_range": _parse_range(p_range, report.TABLE1_P_RANGE),
@@ -92,7 +94,7 @@ def table1_cmd(ctx, p_range, n_range, check):
 @click.pass_context
 def classify_cmd(ctx, pair_key, root_spec, p, n, xi):
     """Classify one orbit; optionally print shape-operator eigenvalues."""
-    db = ctx.obj["db"]
+    db = _database(ctx)
     try:
         family = db.get(pair_key)
     except KeyError as exc:
@@ -176,7 +178,7 @@ def ferus_cmd(ctx, l_value, scan, verify_identities, qmax, p_range, n_range, lma
                    f"powers and ranges verified for q <= {qmax}")
         return
     rows = ferus.equality_scan(
-        ctx.obj["db"],
+        _database(ctx),
         p_range=_parse_range(p_range, ferus.DEFAULT_P_RANGE),
         n_range=_parse_range(n_range, ferus.DEFAULT_N_RANGE),
     )
@@ -211,7 +213,7 @@ def pairs_group():
 @click.pass_context
 def pairs_list_cmd(ctx):
     """List the database rows."""
-    db = ctx.obj["db"]
+    db = _database(ctx)
     headers = ["key", "type", "rank", "p", "n", "flags"]
     cells = []
     for fam in db:

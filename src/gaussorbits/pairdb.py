@@ -21,9 +21,35 @@ from . import rootsys
 from .expr import P, Polynomial, compile_expr, quoted
 from .rootsys import RootSystem, RootSystemType
 
-FLAGS = frozenset(
-    ["hermitian", "normal_real_form", "quaternionic_F4_exceptional", "group_manifold"]
-)
+
+def _constant(m: Polynomial, value: int) -> bool:
+    return not m.variables and m() == value
+
+
+# Each flag is a fact of its record's type and multiplicities (by class
+# tag), so a set flag they contradict is refused at load; an unset flag is
+# never checked.  g is complex exactly when every multiplicity is 2, and
+# split exactly when every one is 1 (its Satake diagram is all white); a
+# Hermitian pair has type C or BC with m(2e_i) = 1 (C. C. Moore,
+# "Compactifications of symmetric spaces II", 1964; Helgason, ch. X,
+# Table VI); the quaternionic exceptional pairs of type F4 have long
+# multiplicity 1 and short multiplicity 2, 4 or 8.
+FLAGS = {
+    "group_manifold": (
+        "group manifold with multiplicities != 2",
+        lambda family, m: all(_constant(x, 2) for x in m.values())),
+    "normal_real_form": (
+        "normal real form with multiplicities != 1",
+        lambda family, m: all(_constant(x, 1) for x in m.values())),
+    "hermitian": (
+        "hermitian but not of type C or BC with m(2e_i) = 1",
+        lambda family, m: family in ("C", "BC") and _constant(m["2e_i"], 1)),
+    "quaternionic_F4_exceptional": (
+        "quaternionic F4 exceptional but not of type F4 with long multiplicity 1 and short != 1",
+        lambda family, m:
+            family == "F4" and _constant(m["long"], 1) and not _constant(m["short"], 1)),
+}
+
 
 class PairsFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -320,8 +346,10 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     for tag, m in exprs.items():
         _on_line(lines[tag], m.check_affine, p_min, n_min)
         _on_line(lines[tag], m.check_positive, rec.get("params p"), rec.get("params n"))
-    if "group_manifold" in rec["flags"] and any(m.variables or m() != 2 for m in exprs.values()):
-        raise PairsFormatError(f"{rec['key']}: group manifold with multiplicities != 2", line)
+    for flag in rec["flags"]:
+        message, holds = FLAGS[flag]
+        if not holds(family, exprs):
+            raise PairsFormatError(f"{rec['key']}: {message}", line)
     fam = PairFamily(
         key=rec["key"],
         g_name=rec["g"],

@@ -17,6 +17,12 @@ order is chosen so that the Bourbaki positive roots are exactly the
 lexicographically positive vectors and the highest root is the maximum:
 first-coordinate-first for the classical families and F4, reversed for
 E6/E7/E8, and (e3, e1, e2) for G2.
+
+A, B, C, D and BC (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates
+I-IV) are assembled from cached per-dimension blocks, the roots e_i + s e_j
+and k e_i, each holding its roots' squared lengths, measured once: the
+systems of one dimension share the blocks' roots and lengths, and the
+blocks are laid out so that the roots come out ascending.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .expr import compile_expr
 
@@ -199,11 +206,12 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
 # Largest rank a system is built at, a guard against runaway input.  A
 # build's time grows between the square and the cube of the rank; in a
-# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 7):
-#   rank     A        B        C        BC
-#    30    0.002 s  0.004 s  0.004 s  0.004 s
-#    50    0.008 s  0.014 s  0.014 s  0.014 s
-#    70    0.017 s  0.027 s  0.029 s  0.035 s
+# fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 7, and
+# in brackets of 7 alternating builds that measured and sorted each root):
+#   rank   A                B                C                BC
+#    30    0.001 (0.002) s  0.002 (0.003) s  0.002 (0.003) s  0.002 (0.003) s
+#    50    0.004 (0.007) s  0.009 (0.015) s  0.007 (0.010) s  0.011 (0.015) s
+#    70    0.013 (0.018) s  0.023 (0.035) s  0.017 (0.026) s  0.017 (0.026) s
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
@@ -307,7 +315,7 @@ class RootSystem:
     )
 
     def __init__(self, rstype, ambient_dim, simple_roots, positive_roots,
-                 highest_root, significance, normals=()):
+                 highest_root, significance, normals=(), norms=None):
         object.__setattr__(self, "rstype", rstype)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "simple_roots", tuple(simple_roots))
@@ -317,29 +325,35 @@ class RootSystem:
             self,
             "simple_support",
             tuple(
-                tuple((i, x) for i, x in enumerate(s._num) if x)
+                tuple(itertools.compress(enumerate(s._num), s._num))
                 for s in self.simple_roots
             ),
         )
-        # Sort on integers: every numerator scaled to the common denominator
-        # of the roots, read in significance order (the numerator tuple
-        # itself for an integral system read first-coordinate-first).
-        # Squared lengths are ints, a Fraction only for a non-integral one,
-        # equal to the Fractions norm_sq gives.
-        den = lcm(*(v._den for v in positive_roots))
-        if den == 1 and tuple(significance) == tuple(range(ambient_dim)):
-            numerators = operator.attrgetter("_num")
-            positive = tuple(sorted(positive_roots, key=numerators))
-            norms = [sum(map(operator.mul, n, n)) for n in map(numerators, positive)]
-        else:
-            positive = tuple(sorted(
-                positive_roots,
-                key=lambda v: tuple(map(_over(v, den).__getitem__, significance)),
-            ))
+        # norms are the roots' squared lengths, which the classical blocks
+        # measured; otherwise each root is measured here, an int, or a
+        # Fraction for a non-integral one, equal to the Fraction norm_sq
+        # gives.  The roots ascend in keys on integers: every numerator
+        # scaled to the common denominator of the roots, read in
+        # significance order (the numerator tuple itself for an integral
+        # system read first-coordinate-first).  The classical constructors
+        # pass them ascending, which one linear pass confirms; other lists
+        # are sorted by index, so that their lengths follow them.
+        den = lcm(*{v._den for v in positive_roots})
+        if norms is None:
             norms = []
-            for v in positive:
+            for v in positive_roots:
                 n, d2 = _dot_sign_num(v, v), v._den * v._den
                 norms.append(Fraction(n, d2) if n % d2 else n // d2)
+        if den == 1 and tuple(significance) == tuple(range(ambient_dim)):
+            keys = list(map(operator.attrgetter("_num"), positive_roots))
+        else:
+            keys = [tuple(map(_over(v, den).__getitem__, significance)) for v in positive_roots]
+        if all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+            positive, norms = tuple(positive_roots), tuple(norms)
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            positive = tuple(map(positive_roots.__getitem__, order))
+            norms = tuple(map(norms.__getitem__, order))
         object.__setattr__(self, "positive_roots", positive)
         # Class index into CLASSES[family] of each positive root; None for a
         # length no class has, which _check_build rejects.
@@ -352,11 +366,12 @@ class RootSystem:
         # The one index of the positive roots; a negative root is looked up
         # through its negation.
         object.__setattr__(self, "_class_of", dict(zip(positive, classes)))
-        # Length label of each class index, so root_class needs no norm.
+        # Length label of each class index, so root_class needs no norm; a
+        # length no class has gets none, and _check_build rejects its root.
         object.__setattr__(
             self,
             "_class_labels",
-            {index.get(n): label for n, label in length_labels(norms).items()},
+            {index[n]: label for n, label in length_labels(index.keys() & set(norms)).items()},
         )
 
     def __setattr__(self, name, value):
@@ -443,13 +458,14 @@ def build(family, rank: int | None = None) -> RootSystem:
 @lru_cache(maxsize=None)
 def _build_cached(family: str, rank: int) -> RootSystem:
     rstype = RootSystemType(family, rank)
-    simple, positive, highest, significance = _CONSTRUCTORS[family](rank)
+    simple, positive, norms, highest, significance = _CONSTRUCTORS[family](rank)
     normals = []  # an integer basis of the complement of the root span
     if family in ("A", "G2"):  # the coordinates of each root sum to zero
         normals = [_reduced((1,) * simple[0].dim, 1)]
     elif family in ("E6", "E7"):  # the conditions _build_e cuts E8 down by
         normals = [_vec(8, (6, 1), (7, 1)), _vec(8, (5, 1), (6, -1))][: 8 - rank]
-    system = RootSystem(rstype, simple[0].dim, simple, positive, highest, significance, normals)
+    system = RootSystem(rstype, simple[0].dim, simple, positive, highest, significance,
+                        normals, norms)
     _check_build(system)
     return system
 
@@ -462,60 +478,92 @@ def _vec(dim: int, *entries) -> RootVec:
     return _reduced(tuple(num), 1)
 
 
+class _Block(NamedTuple):
+    """One kind of classical root in one dimension p, built once and shared.
+
+    Row i holds the roots whose first nonzero coordinate is the i-th,
+    ascending; `lengths` holds their squared lengths row by row, measured
+    from the numerators when the block is built.
+    """
+
+    rows: tuple[tuple[RootVec, ...], ...]
+    lengths: tuple[tuple[int, ...], ...]
+
+
+def _block(rows) -> _Block:
+    rows = tuple(map(tuple, rows))
+    return _Block(rows, tuple(
+        tuple(sum(x * x for x in filter(None, v._num)) for v in row) for row in rows
+    ))
+
+
 @lru_cache(maxsize=None)
-def _signed_pairs(p: int, s: int) -> tuple[RootVec, ...]:
-    # e_i + s e_j for i < j, built once per (dimension, sign), so the systems
-    # of one dimension hold the same RootVecs.
-    zero = [0] * p
-    out = []
+def _signed_pairs(p: int, s: int) -> _Block:
+    # e_i + s e_j for i < j, j ascending for s = -1 and descending for s = 1.
+    rows, num = [], [0] * p
     for i in range(p):
-        for j in range(i + 1, p):
-            num = zero.copy()
-            num[i] = 1
+        num[i] = 1
+        row = []
+        for j in range(i + 1, p) if s < 0 else range(p - 1, i, -1):
             num[j] = s
-            out.append(_reduced(tuple(num), 1))
-    return tuple(out)
+            row.append(_reduced(tuple(num), 1))
+            num[j] = 0
+        num[i] = 0
+        rows.append(row)
+    return _block(rows)
 
 
-def _pair_roots(p: int, signs=(1, -1)) -> list[RootVec]:
-    # e_i + s e_j for i < j and each s in signs, in a list of the caller's own.
-    return [v for s in signs for v in _signed_pairs(p, s)]
+@lru_cache(maxsize=None)
+def _axis(p: int, k: int) -> _Block:
+    # k e_i, one root a row.
+    return _block([_vec(p, (i, k))] for i in range(p))
 
 
-def _classical_simple(p: int) -> list[RootVec]:
-    return [_vec(p, (i, 1), (i + 1, -1)) for i in range(p - 1)]
+def _assemble(*blocks: _Block) -> tuple[list[RootVec], list[int]]:
+    # The blocks' roots and lengths in ascending order: the leading index
+    # from the last to the first, and at each the blocks' rows in the order
+    # given, which is that of their roots (e_i - e_j, e_i, e_i + e_j, 2e_i).
+    roots, norms = [], []
+    for i in reversed(range(len(blocks[0].rows))):
+        for rows, lengths in blocks:
+            roots += rows[i]
+            norms += lengths[i]
+    return roots, norms
+
+
+def _classical(highest: RootVec, last: list[RootVec], minus: _Block, *blocks: _Block):
+    # The system of the blocks, e_i - e_j first, read first-coordinate-first:
+    # its simple roots are the e_i - e_{i+1} and then those of `last`.
+    simple = [row[0] for row in minus.rows[:-1]] + last
+    return (simple, *_assemble(minus, *blocks), highest, tuple(range(len(minus.rows))))
 
 
 def _build_a(p: int):
-    dim = p + 1
-    simple = _classical_simple(dim)
-    positive = _pair_roots(dim, (-1,))
-    highest = _vec(dim, (0, 1), (p, -1))
-    return simple, positive, highest, tuple(range(dim))
+    minus = _signed_pairs(p + 1, -1)
+    return _classical(minus.rows[0][-1], [], minus)
 
 
 def _build_b(p: int):
-    simple = _classical_simple(p) + [_vec(p, (p - 1, 1))]
-    positive = [_vec(p, (i, 1)) for i in range(p)] + _pair_roots(p)
-    highest = _vec(p, (0, 1), (1, 1)) if p >= 2 else _vec(p, (0, 1))
-    return simple, positive, highest, tuple(range(p))
+    minus, short, plus = _signed_pairs(p, -1), _axis(p, 1), _signed_pairs(p, 1)
+    highest = plus.rows[0][-1] if p >= 2 else short.rows[0][0]
+    return _classical(highest, [short.rows[-1][0]], minus, short, plus)
 
 
 def _build_c(p: int):
-    simple = _classical_simple(p) + [_vec(p, (p - 1, 2))]
-    positive = [_vec(p, (i, 2)) for i in range(p)] + _pair_roots(p)
-    return simple, positive, _vec(p, (0, 2)), tuple(range(p))
+    minus, plus, long = _signed_pairs(p, -1), _signed_pairs(p, 1), _axis(p, 2)
+    return _classical(long.rows[0][0], [long.rows[-1][0]], minus, plus, long)
 
 
 def _build_d(p: int):
-    simple = _classical_simple(p) + [_vec(p, (p - 2, 1), (p - 1, 1))]
-    return simple, _pair_roots(p), _vec(p, (0, 1), (1, 1)), tuple(range(p))
+    minus, plus = _signed_pairs(p, -1), _signed_pairs(p, 1)
+    return _classical(plus.rows[0][-1], [plus.rows[-2][0]], minus, plus)
 
 
 def _build_bc(p: int):
-    simple, b_pos, _, sig = _build_b(p)
-    positive = b_pos + [_vec(p, (i, 2)) for i in range(p)]
-    return simple, positive, _vec(p, (0, 2)), sig
+    minus, short, plus, long = (
+        _signed_pairs(p, -1), _axis(p, 1), _signed_pairs(p, 1), _axis(p, 2)
+    )
+    return _classical(long.rows[0][0], [short.rows[-1][0]], minus, short, plus, long)
 
 
 def _build_g2(_rank: int):
@@ -523,16 +571,17 @@ def _build_g2(_rank: int):
     positive = [_reduced(num, 1) for num in (
         (1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2),
     )]
-    return positive[:2], positive, positive[-1], (2, 0, 1)
+    return positive[:2], positive, None, positive[-1], (2, 0, 1)
 
 
 def _build_f4(_rank: int):
-    simple = _classical_simple(4)[1:] + [_vec(4, (3, 1)), _reduced((1, -1, -1, -1), 2)]
-    positive = [_vec(4, (i, 1)) for i in range(4)] + _pair_roots(4)
+    minus, short, plus = _signed_pairs(4, -1), _axis(4, 1), _signed_pairs(4, 1)
+    simple = [minus.rows[1][0], minus.rows[2][0], short.rows[3][0], _reduced((1, -1, -1, -1), 2)]
+    positive, _ = _assemble(minus, short, plus)
     positive += [
         _reduced((1,) + signs, 2) for signs in itertools.product((1, -1), repeat=3)
     ]
-    return simple, positive, _vec(4, (0, 1), (1, 1)), (0, 1, 2, 3)
+    return simple, positive, None, plus.rows[0][-1], (0, 1, 2, 3)
 
 
 def _build_e(rank: int):
@@ -559,7 +608,7 @@ def _build_e(rank: int):
         7: _vec(8, (7, 1), (6, -1)),
         8: _vec(8, (6, 1), (7, 1)),
     }[rank]
-    return simple, positive, highest, tuple(reversed(range(8)))
+    return simple, positive, None, highest, tuple(reversed(range(8)))
 
 
 _CONSTRUCTORS = {

@@ -45,6 +45,26 @@ MUTANTS = (
      "if len(closure) > limit or pos != listed:",
      "if False:",
      "tests/test_rootsys.py::TestCheckBuild::test_reflection_closure_disagreement"),
+    # rootsys._block measures each root's length; RootSystem labels only the
+    # lengths a class has, so _check_build sees a stranger's
+    ("rootsys.py",
+     "tuple(sum(x * x for x in filter(None, v._num)) for v in row)",
+     "tuple(sum(x * x for x in filter(None, row[0]._num)) for v in row)",
+     "tests/test_rootsys.py::TestCheckBuild::test_a_block_with_a_vector_outside_the_system"),
+    ("rootsys.py",
+     "length_labels(index.keys() & set(norms))",
+     "length_labels(norms)",
+     "tests/test_rootsys.py::TestCheckBuild::test_a_block_with_a_vector_outside_the_system"),
+    # RootSystem's sort of a constructor's roots, and its check that they
+    # already ascend
+    ("rootsys.py",
+     "order = sorted(range(len(keys)), key=keys.__getitem__)",
+     "order = range(len(keys))",
+     "tests/test_rootsys.py::TestIntegerOrder::test_matches_fraction_reference"),
+    ("rootsys.py",
+     "if all(map(operator.lt, keys, itertools.islice(keys, 1, None))):",
+     "if True:",
+     "tests/test_rootsys.py::TestIntegerOrder::test_matches_fraction_reference"),
     # rootsys.reflection_closure, reached through _check_build
     ("rootsys.py",
      "                if r:\n",
@@ -80,10 +100,23 @@ MUTANTS = (
      '        _on_line(lines[tag], m.check_positive, rec.get("params p"), rec.get("params n"))\n',
      "",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_multiplicity_below_one_above_p_min"),
+    # pairdb.FLAGS: a set flag its record's type and multiplicities contradict
     ("pairdb.py",
-     'if "group_manifold" in rec["flags"] and any(',
-     "if False and any(",
+     "lambda family, m: all(_constant(x, 2) for x in m.values())",
+     "lambda family, m: True",
      "tests/test_cli.py::TestUserSuppliedDatabase::test_instantiate_refuses_the_smallest_pair"),
+    ("pairdb.py",
+     "lambda family, m: all(_constant(x, 1) for x in m.values())",
+     "lambda family, m: True",
+     "tests/test_pairdb.py::TestFlags::test_a_contradicted_flag_is_refused_on_its_record_line"),
+    ("pairdb.py",
+     'lambda family, m: family in ("C", "BC") and _constant(m["2e_i"], 1)',
+     "lambda family, m: True",
+     "tests/test_pairdb.py::TestFlags::test_a_contradicted_flag_is_refused_on_its_record_line"),
+    ("pairdb.py",
+     'family == "F4" and _constant(m["long"], 1) and not _constant(m["short"], 1)),',
+     "True),",
+     "tests/test_pairdb.py::TestFlags::test_a_contradicted_flag_is_refused_on_its_record_line"),
     # pairdb.parse_database: a single-valued field given twice
     ("pairdb.py",
      "    if field in rec:\n",

@@ -649,6 +649,28 @@ class TestPlumbing:
         code, _, _ = run("--pairs", "/does/not/exist", "pairs", "list")
         assert code == 1
 
+    MALFORMED = "pair x|y\n  nonsense here\nend\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("appendix", "--algebra", "g2"), ("ferus", "--l", "5"),
+        ("ferus", "--verify-identities", "--qmax", "2", "--lmax", "8"),
+    ])
+    def test_a_command_that_reads_no_database_ignores_a_bad_one(self, run, tmp_path, argv):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.MALFORMED)
+        assert run("--pairs", str(path), *argv) == run(*argv)
+        assert run(*argv)[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("pairs", "list"), ("table1",), ("table1", "--check"), ("ferus", "--scan"),
+        ("classify", "--pair", "e6|f4", "--root", "highest"),
+    ])
+    def test_a_command_that_reads_the_database_refuses_a_bad_one(self, run, tmp_path, argv):
+        path = tmp_path / "pairs.dat"
+        path.write_text(self.MALFORMED)
+        assert run("--pairs", str(path), *argv) == (
+            1, "", "error: line 2: unknown field 'nonsense'\n")
+
 
 class TestUsageErrors:
     """A click usage error is one `error:` line on stderr and exit 1."""

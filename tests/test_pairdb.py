@@ -121,6 +121,101 @@ class TestRestrictedSystem:
                 assert set(dict(pair.mult_by_class).values()) == {1}
 
 
+def edit_record(key, *edits):
+    """PAIRS_DAT with each (old, new) replaced inside the record of key, and its line."""
+    start = PAIRS_DAT.index(f"pair {key}\n")
+    end = PAIRS_DAT.index("end\n", start)
+    record = PAIRS_DAT[start:end]
+    for old, new in edits:
+        assert record.count(old) == 1, (key, old)
+        record = record.replace(old, new)
+    return PAIRS_DAT[:start] + record + PAIRS_DAT[end:], PAIRS_DAT.count("\n", 0, start) + 1
+
+
+class TestFlags:
+    """Each flag holds exactly where its rule on the type and multiplicities does."""
+
+    def test_embedded_flags_agree_with_their_rules_both_ways(self, db):
+        for fam in db:
+            m = {tag: None if e.variables else e() for tag, e in fam.mult}
+            rules = {
+                "group_manifold": set(m.values()) == {2},
+                "normal_real_form": set(m.values()) == {1},
+                "hermitian": fam.family in ("C", "BC") and m["2e_i"] == 1,
+                "quaternionic_F4_exceptional":
+                    fam.family == "F4" and m["long"] == 1 and m["short"] != 1,
+            }
+            assert {flag for flag, holds in rules.items() if holds} == fam.flags, fam.key
+
+    @pytest.mark.parametrize("key,edits,message", [
+        pytest.param("e7|su(8)", [("mult all 1", "mult all 2"), ("dim_m 70", "dim_m 133")],
+                     "normal real form with multiplicities != 1", id="split-with-m-2"),
+        pytest.param("e7|e6+r", [("mult 2e_i 1", "mult 2e_i 3"), ("dim_m 54", "dim_m 60")],
+                     "hermitian but not of type C or BC with m(2e_i) = 1", id="hermitian-m-3"),
+        pytest.param("so(2p+n)|so(p)+so(p+n)", [("  dim_m", "  flags hermitian\n  dim_m")],
+                     "hermitian but not of type C or BC with m(2e_i) = 1", id="hermitian-type-b"),
+        pytest.param("e7|su(2)+so(12)", [("mult long 1", "mult long 2"), ("dim_m 64", "dim_m 76")],
+                     "quaternionic F4 exceptional but not of type F4 with long multiplicity 1 "
+                     "and short != 1", id="quaternionic-long-2"),
+        pytest.param("f4|su(2)+sp(3)", [("normal_real_form", "quaternionic_F4_exceptional")],
+                     "quaternionic F4 exceptional but not of type F4 with long multiplicity 1 "
+                     "and short != 1", id="quaternionic-short-1"),
+    ])
+    def test_a_contradicted_flag_is_refused_on_its_record_line(self, key, edits, message):
+        # Each edit keeps the dim_m identity, so only the flag check sees it.
+        text, line = edit_record(key, *edits)
+        with pytest.raises(PairsFormatError, match=rf"^line {line}: {re.escape(key)}: "
+                                                   rf"{re.escape(message)}$"):
+            pairdb.parse_database(text)
+
+
+# dim of each simple algebra a display name uses; "^2" doubles a summand.
+CLASSICAL_DIMS = {
+    "su": lambda m: m * m - 1,
+    "so": lambda m: m * (m - 1) // 2,
+    "sp": lambda m: m * (2 * m + 1),
+    "u": lambda m: m * m,
+}
+FIXED_DIMS = {"R": 1, "g2": 14, "f4": 52, "e6": 78, "e7": 133, "e8": 248}
+
+
+def algebra_dim(name):
+    total = 0
+    for summand in name.split("+"):
+        base = summand.removesuffix("^2")
+        match = re.fullmatch(r"(su|so|sp|u)\((\d+)\)", base)
+        dim = CLASSICAL_DIMS[match[1]](int(match[2])) if match else FIXED_DIMS[base]
+        total += dim * (2 if base != summand else 1)
+    return total
+
+
+def dimension_mismatches(text):
+    """(key, p, n) wherever dim g - dim k, read from the names, is not dim_m."""
+    dim_m = dict(re.findall(r"(?m)^pair (\S+)$(?:\n(?!end).*)*?\n  dim_m (\S+)$", text))
+    found, instances = [], 0
+    for fam in pairdb.parse_database(text):
+        for pair in fam.instantiations(p_range=(2, 9), n_range=(1, 6)):
+            g, k = fam.names(pair.p, pair.n)
+            instances += 1
+            if algebra_dim(g) - algebra_dim(k) != expr.compile_expr(dim_m[fam.key])(pair.p, pair.n):
+                found.append((fam.key, pair.p, pair.n))
+    return found, instances
+
+
+class TestDimensions:
+    """dim m = dim g - dim k, with g and k read from the display names."""
+
+    def test_every_instance_of_the_embedded_database(self):
+        assert dimension_mismatches(PAIRS_DAT) == ([], 254)
+
+    def test_a_multiplicity_changed_with_its_dim_m(self):
+        # 12 short roots of F4: short multiplicity 4 -> 8 and dim_m 64 -> 112
+        # keep the load identity, and e7 - su(2) - so(12) is still 64.
+        text, _ = edit_record("e7|su(2)+so(12)", ("mult short 4", "mult short 8"),
+                              ("dim_m 64", "dim_m 112"))
+        assert dimension_mismatches(text) == ([("e7|su(2)+so(12)", None, None)], 254)
+
+
 def orthogonal_positives(system, H):
     return [mu for mu in system.positive_roots if rootsys.is_orthogonal(mu, H)]
 

@@ -554,7 +554,7 @@ class TestIntegerOrder:
     @pytest.mark.parametrize("family,rank", ORDER_TYPES)
     def test_matches_fraction_reference(self, family, rank):
         system = rs.build(family, rank)
-        _, listed, highest, significance = rs._CONSTRUCTORS[family](rank)
+        _, listed, _, highest, significance = rs._CONSTRUCTORS[family](rank)
 
         def keys(vectors):
             return [tuple(map(v.coords.__getitem__, significance)) for v in vectors]
@@ -604,8 +604,8 @@ class TestIntegerOrder:
         build = rs._CONSTRUCTORS[family]
 
         def wrong_highest(p):
-            simple, positive, _, significance = build(p)
-            return simple, positive, positive[-1], significance
+            simple, positive, norms, _, significance = build(p)
+            return simple, positive, norms, positive[0], significance
 
         monkeypatch.setitem(rs._CONSTRUCTORS, family, wrong_highest)
         rs._build_cached.cache_clear()
@@ -623,8 +623,9 @@ class TestCheckBuild:
         build = rs._CONSTRUCTORS[family]
 
         def edited(p):
-            simple, positive, highest, significance = build(p)
-            return simple, edit(list(positive)), highest, significance
+            # The edited list is measured by RootSystem, not read from blocks.
+            simple, positive, _, highest, significance = build(p)
+            return simple, edit(list(positive)), None, highest, significance
 
         monkeypatch.setitem(rs._CONSTRUCTORS, family, edited)
         rs._build_cached.cache_clear()
@@ -686,7 +687,7 @@ class TestCheckBuild:
         ]
         monkeypatch.setitem(
             rs._CONSTRUCTORS, family,
-            lambda p: (list(simple), list(simple), highest, system.significance),
+            lambda p: (list(simple), list(simple), None, highest, system.significance),
         )
         monkeypatch.setitem(rs.CLASSES, family, tuple(classes))
         closure, sizes = rs.reflection_closure, []
@@ -712,9 +713,9 @@ class TestCheckBuild:
         build = rs._CONSTRUCTORS["A"]
 
         def doubled(p):
-            simple, positive, highest, significance = build(p)
+            simple, positive, norms, highest, significance = build(p)
             simple[-1] = 2 * simple[-1]
-            return simple, positive, highest, significance
+            return simple, positive, norms, highest, significance
 
         monkeypatch.setitem(rs._CONSTRUCTORS, "A", doubled)
         rs._build_cached.cache_clear()
@@ -730,20 +731,45 @@ class TestCheckBuild:
 
     @pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
     def test_an_edited_list_leaves_the_shared_roots(self, family):
-        # Each constructor returns a list of its own around the cached pair
-        # roots, so editing that list in place, as an edited constructor
-        # may, changes neither the cache nor a later build.
+        # Each constructor returns lists of its own around the cached pair
+        # roots, so editing them in place, as an edited constructor may,
+        # changes neither the cache nor a later build.
         system = rs.build(family, 5)
         dim = system.ambient_dim
         shared = {s: rs._signed_pairs(dim, s) for s in (1, -1)}
-        _, positive, _, _ = rs._CONSTRUCTORS[family](5)
-        positive.clear()
+        simple, positive, norms, _, _ = rs._CONSTRUCTORS[family](5)
+        for edited in (simple, positive, norms):
+            edited.clear()
         for s, pairs in shared.items():
             assert rs._signed_pairs(dim, s) is pairs
-            assert len(pairs) == dim * (dim - 1) // 2
+            assert sum(map(len, pairs.rows)) == dim * (dim - 1) // 2
         rs._build_cached.cache_clear()
         try:
             assert rs.build(family, 5).positive_roots == system.positive_roots
+        finally:
+            rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 12), ("D", 30), ("BC", 9)])
+    def test_a_block_with_a_vector_outside_the_system(self, monkeypatch, family, rank):
+        # e_1 - 2e_3 in place of e_1 - e_3 in the shared e_i - e_j block:
+        # the block measures its length, 5, which fits no class, also above
+        # rank 8, where no reflection closure is compared.
+        shared = rs._signed_pairs
+
+        def with_stranger(p, s):
+            rows = [list(row) for row in shared(p, s).rows]
+            if s < 0:
+                rows[0][1] = 2 * rows[0][1] - rs._vec(p, (0, 1))
+            return rs._block(rows)
+
+        monkeypatch.setattr(rs, "_signed_pairs", with_stranger)
+        rs._build_cached.cache_clear()
+        try:
+            with pytest.raises(
+                rs.InvariantViolation,
+                match=r"positive root RootVec\(1, 0, -2(, 0)*\) fits no length class",
+            ):
+                rs.build(family, rank)
         finally:
             rs._build_cached.cache_clear()
 
@@ -753,7 +779,9 @@ class TestCheckBuild:
         # sees that the lex maximum is no highest root (Humphreys 10.4
         # assumes an irreducible system).
         a, b = rootvec(1, -1, 0, 0), rootvec(0, 0, 1, -1)
-        monkeypatch.setitem(rs._CONSTRUCTORS, "A", lambda p: ([a, b], [a, b], a, (0, 1, 2, 3)))
+        monkeypatch.setitem(
+            rs._CONSTRUCTORS, "A", lambda p: ([a, b], [a, b], None, a, (0, 1, 2, 3))
+        )
         monkeypatch.setitem(rs.CLASSES, "A", (("all", 2, lambda p: 2, lambda p: 1),))
         rs._build_cached.cache_clear()
         try:
@@ -774,9 +802,9 @@ class TestCheckBuild:
         build = rs._CONSTRUCTORS["A"]
 
         def no_base(p):
-            simple, positive, highest, significance = build(p)
+            simple, positive, norms, highest, significance = build(p)
             simple[1] = simple[0] + simple[1]
-            return simple, positive, highest, significance
+            return simple, positive, norms, highest, significance
 
         monkeypatch.setitem(rs._CONSTRUCTORS, "A", no_base)
         rs._build_cached.cache_clear()
