@@ -325,7 +325,7 @@ class RootSystem:
             self,
             "simple_support",
             tuple(
-                tuple(itertools.compress(enumerate(s._num), s._num))
+                tuple((i, x) for i, x in enumerate(s._num) if x)
                 for s in self.simple_roots
             ),
         )
@@ -335,9 +335,10 @@ class RootSystem:
         # gives.  The roots ascend in keys on integers: every numerator
         # scaled to the common denominator of the roots, read in
         # significance order (the numerator tuple itself for an integral
-        # system read first-coordinate-first).  The classical constructors
-        # pass them ascending, which one linear pass confirms; other lists
-        # are sorted by index, so that their lengths follow them.
+        # system read first-coordinate-first).  The roots are sorted by
+        # index, so that their lengths follow them; the classical
+        # constructors pass them ascending, which the sort confirms in one
+        # pass.
         den = lcm(*{v._den for v in positive_roots})
         if norms is None:
             norms = []
@@ -348,12 +349,9 @@ class RootSystem:
             keys = list(map(operator.attrgetter("_num"), positive_roots))
         else:
             keys = [tuple(map(_over(v, den).__getitem__, significance)) for v in positive_roots]
-        if all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
-            positive, norms = tuple(positive_roots), tuple(norms)
-        else:
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            positive = tuple(map(positive_roots.__getitem__, order))
-            norms = tuple(map(norms.__getitem__, order))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        positive = tuple(map(positive_roots.__getitem__, order))
+        norms = tuple(map(norms.__getitem__, order))
         object.__setattr__(self, "positive_roots", positive)
         # Class index into CLASSES[family] of each positive root; None for a
         # length no class has, which _check_build rejects.
