@@ -209,9 +209,9 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 # fresh Python 3.11 process on a 2-vCPU Xeon VM it takes (median of 7, and
 # in brackets of 7 alternating builds that measured and sorted each root):
 #   rank   A                B                C                BC
-#    30    0.001 (0.002) s  0.002 (0.003) s  0.002 (0.003) s  0.002 (0.003) s
-#    50    0.004 (0.007) s  0.009 (0.015) s  0.007 (0.010) s  0.011 (0.015) s
-#    70    0.013 (0.018) s  0.023 (0.035) s  0.017 (0.026) s  0.017 (0.026) s
+#    30    0.001 (0.001) s  0.002 (0.002) s  0.002 (0.003) s  0.002 (0.003) s
+#    50    0.004 (0.005) s  0.007 (0.009) s  0.007 (0.010) s  0.007 (0.010) s
+#    70    0.007 (0.011) s  0.015 (0.023) s  0.015 (0.022) s  0.016 (0.023) s
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
