@@ -76,11 +76,10 @@ def table1_cmd(ctx, p_range, n_range, check):
         click.echo("table1 check: all rows match the expected table")
         return
     if p_range is None and n_range is None:
-        headers, cells = report.cells(report.Table1Row, report.table1_rows(db))
+        text = report.render_rows(report.Table1Row, report.table1_rows(db), fmt)
     else:
-        instances = report.table1_instances(db, **grid)
-        headers, cells = report.cells(report.Table1Instance, instances)
-    click.echo(report.render_table(headers, cells, fmt), nl=False)
+        text = report.render_rows(report.Table1Instance, report.table1_instances(db, **grid), fmt)
+    click.echo(text, nl=False)
 
 
 @cli.command("classify")
@@ -109,7 +108,8 @@ def classify_cmd(ctx, pair_key, root_spec, p, n, xi):
     rep = orbits.classify(pair, H)
     payload = report.to_json(rep)
     if xi is not None:
-        spec = orbits.principal_curvatures(pair, rep.H, rootsys.RootVec.parse(xi))
+        xi_vec = rootsys.RootVec.parse(xi)  # a normal at the given H; rep.H is H folded
+        spec = orbits.principal_curvatures(pair, rootsys.primitive_ray(H), xi_vec)
         payload["curvature_spectrum"] = report.to_json(spec)
     _echo_record(ctx.obj["fmt"], payload)
 
@@ -122,18 +122,9 @@ def _echo_record(fmt: str, payload: dict, **table_values) -> None:
     if fmt == "json":
         click.echo(report.render_json(payload), nl=False)
         return
-    rows = [[key, _plain(table_values.get(key, value))] for key, value in payload.items()]
+    rows = [[key, report.text(table_values.get(key, "-" if value is None else value))]
+            for key, value in payload.items()]
     click.echo(report.render_table(["field", "value"], rows, fmt), nl=False)
-
-
-def _plain(value) -> str:
-    if isinstance(value, list):
-        return " ".join(_plain(v) for v in value)
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return str(value).lower()
-    return str(value)
 
 
 @cli.command("ferus")
@@ -182,8 +173,7 @@ def ferus_cmd(ctx, l_value, scan, verify_identities, qmax, p_range, n_range, lma
         p_range=_parse_range(p_range, ferus.DEFAULT_P_RANGE),
         n_range=_parse_range(n_range, ferus.DEFAULT_N_RANGE),
     )
-    headers, cells = report.scan_cells(rows)
-    click.echo(report.render_table(headers, cells, fmt), nl=False)
+    click.echo(report.render_rows(ferus.ScanRow, rows, fmt), nl=False)
 
 
 @cli.command("appendix")
@@ -213,21 +203,13 @@ def pairs_group():
 @click.pass_context
 def pairs_list_cmd(ctx):
     """List the database rows."""
-    db = _database(ctx)
-    headers = ["key", "type", "rank", "p", "n", "flags"]
-    cells = []
-    for fam in db:
-        cells.append(
-            [
-                fam.key,
-                fam.family,
-                fam.rank_expr,
-                f"{fam.p_min}:{pairdb.bound_text(fam.p_max)}" if fam.uses_p else "-",
-                f"{fam.n_min}:{pairdb.bound_text(fam.n_max)}" if fam.uses_n else "-",
-                ",".join(sorted(fam.flags)) or "-",
-            ]
-        )
-    click.echo(report.render_table(headers, cells, ctx.obj["fmt"]), nl=False)
+    rows = [report.PairsRow(
+        fam.key, fam.family, fam.rank_expr,
+        f"{fam.p_min}:{pairdb.bound_text(fam.p_max)}" if fam.uses_p else "-",
+        f"{fam.n_min}:{pairdb.bound_text(fam.n_max)}" if fam.uses_n else "-",
+        ",".join(sorted(fam.flags)) or "-",
+    ) for fam in _database(ctx)]
+    click.echo(report.render_rows(report.PairsRow, rows, ctx.obj["fmt"]), nl=False)
 
 
 # A group called without a subcommand prints its help as --help does, on

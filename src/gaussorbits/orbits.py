@@ -318,8 +318,9 @@ def principal_curvatures(
     if H.is_zero():
         raise ValueError("H must be nonzero")
     system = pair.system()
-    if xi.dim != H.dim or H.dim != system.ambient_dim:
-        raise ValueError("dimension mismatch")
+    for name, v in (("H", H), ("xi", xi)):
+        if v.dim != system.ambient_dim:
+            raise ValueError(f"dimension mismatch: {name} {v.dim} vs {system.ambient_dim}")
     _check_span(system, xi)
     if not is_orthogonal(xi, H):
         raise ValueError(f"xi={xi!r} is not orthogonal to H={H!r}")

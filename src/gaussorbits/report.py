@@ -101,6 +101,16 @@ def table1_instances(
     ]
 
 
+@dataclass(frozen=True)
+class PairsRow:
+    key: str
+    rstype: str = field(metadata={"header": "type"})
+    rank: str
+    p: str
+    n: str
+    flags: str
+
+
 def load_expected() -> list[Table1Row]:
     """The golden table, read as the symbolic CSV output writes it.
 
@@ -182,18 +192,19 @@ def render_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
         out = [line(headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
         out += [line(r) for r in rows]
         return "\n".join(out) + "\n"
-    if fmt == "json":
-        return json.dumps(
-            [dict(zip(headers, row)) for row in rows], indent=2
-        ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _cell(value) -> str:
+def text(value) -> str:
+    """The md and csv text of a value: "" for None, true or false for a bool,
+    a list's items' text joined by spaces, str() otherwise."""
+    # Identity and exact-type tests, not isinstance: the wide scan's 52k cells pass here.
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if value is True or value is False:
         return "true" if value else "false"
+    if type(value) is list:
+        return " ".join(map(text, value))
     return str(value)
 
 
@@ -201,31 +212,35 @@ def cells(cls, rows) -> tuple[list[str], list[list[str]]]:
     """Headers and string cells of dataclass rows, one column per field of cls.
 
     Columns follow the field order, and a field's header is its name unless
-    its metadata names another.  A cell is "" for None, true or false for a
-    bool and str() of any other value.
+    its metadata names another.  A cell is the `text` of its value.
     """
     # Every row class has two fields or more, so get returns a tuple.
     get = attrgetter(*(f.name for f in fields(cls)))
     headers = [f.metadata.get("header", f.name) for f in fields(cls)]
-    return headers, [list(map(_cell, get(row))) for row in rows]
+    return headers, [list(map(text, get(row))) for row in rows]
+
+
+def render_rows(cls, rows, fmt: str) -> str:
+    """A table of cls rows: JSON of their to_json dicts, md or csv of their cells."""
+    if fmt == "json":
+        return render_json([to_json(row) for row in rows])
+    return render_table(*cells(cls, rows), fmt)
 
 
 def scan_cells(rows: list[ferus.ScanRow]):
     return cells(ferus.ScanRow, rows)
 
 
-# ---------------------------------------------------------------------------
-# JSON encoding of the report types
-
 def to_json(value):
     """JSON-ready form of a report value.
 
-    A dataclass becomes a dict of its fields in declaration order, a
-    RootVec a list of rational strings, a Fraction one rational string and
-    a tuple a list; other values pass through unchanged.
+    A dataclass becomes a dict of its fields keyed by column header, as in
+    `cells`, a RootVec a list of rational strings, a Fraction one rational
+    string and a tuple a list; other values pass through unchanged.
     """
     if is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+        return {f.metadata.get("header", f.name): to_json(getattr(value, f.name))
+                for f in fields(value)}
     if isinstance(value, RootVec):
         return [str(c) for c in value.coords]
     if isinstance(value, Fraction):

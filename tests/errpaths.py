@@ -50,6 +50,10 @@ REFUSALS = [
     ["classify", "--pair", "e6|f4", "--root", "1,1,1"],
     ["classify", "--pair", "e6|f4", "--root", "middle"],
     ["classify", "--pair", "e6|f4", "--root", "highest", "--xi", "1,-1,0"],
+    ["classify", "--pair", "su(p+1)|so(p+1)", "--p", "2", "--root", "highest", "--xi", "1,1"],
+    # xi normal to the given H only, then to H's chamber point only
+    ["classify", "--pair", "su(p+1)|so(p+1)", "--p", "3", "--root", "1,3,-1,-3", "--xi=-3,1,3,-1"],
+    ["classify", "--pair", "su(p+1)|so(p+1)", "--p", "3", "--root", "1,3,-1,-3", "--xi=1,-3,3,-1"],
     ["classify", "--pair", "so(2p)|so(p)+so(p)", "--p", "2", "--root", "highest"],
     ["classify", "--pair", "su(p+1)|so(p+1)", "--p", "71", "--root", "highest"],
     ["classify", "--pair", "so(2p+n)|so(p)+so(p+n)", "--p", "2", "--root", "highest"],

@@ -196,6 +196,15 @@ MUTANTS = (
      "if ab and not degenerate:",
      "if False:",
      "tests/test_orbits.py::TestClassify::test_ab_outside_the_rule_is_invariant_violation"),
+    # orbits.principal_curvatures, and classify --xi checked at the given H
+    ("orbits.py",
+     "if v.dim != system.ambient_dim:",
+     "if False:",
+     "tests/test_orbits.py::TestPrincipalCurvatures::test_a_vector_of_another_dimension_is_named"),
+    ("orbits.py",
+     "if not is_orthogonal(xi, H):",
+     "if False:",
+     "tests/test_cli.py::TestClassifyCommand::test_xi_normal_to_the_folded_h_only_is_refused"),
     # orbits.sweep's cache, keyed by spec alone
     ("orbits.py",
      "            profile = profiles.get((system, spec))\n"

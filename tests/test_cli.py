@@ -146,6 +146,33 @@ class TestClassifyCommand:
         payload = json.loads(out)
         assert payload["curvature_spectrum"] == [["-1", 3], ["0", 1], ["1", 3]]
 
+    # On A3, H = (1, 3, -1, -3) folds to (3, 1, -1, -3); xi = (-3, 1, 3, -1) is
+    # normal to H only, and (1, -3, 3, -1), its image under the same swap, to
+    # the folded H only.
+    A3 = ("classify", "--pair", "su(p+1)|so(p+1)", "--p", "3", "--root", "1,3,-1,-3")
+
+    def test_xi_is_normal_to_the_given_h(self, run):
+        code, out, err = run("--format", "json", *self.A3, "--xi=-3,1,3,-1")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["H"] == ["3", "1", "-1", "-3"]
+        assert payload["curvature_spectrum"] == [["-2", 2], ["-1/3", 1], ["1/2", 2], ["3", 1]]
+
+    def test_xi_normal_to_the_folded_h_only_is_refused(self, run):
+        code, out, err = run(*self.A3, "--xi=1,-3,3,-1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: xi=RootVec(1, -3, 3, -1) is not orthogonal to H=RootVec(1, 3, -1, -3)\n"
+        )
+
+    def test_xi_of_another_dimension(self, run):
+        code, out, err = run(
+            "classify", "--pair", "su(p+1)|so(p+1)", "--p", "2", "--root", "highest",
+            "--xi", "1,1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: dimension mismatch: xi 2 vs 3\n"
+
     def test_unknown_pair(self, run):
         code, _, err = run("classify", "--pair", "su(9)|nothing", "--root", "long")
         assert code == 1
@@ -568,16 +595,14 @@ class TestFixedRankFamilyWithN:
             "table1", "--p-range", "2:3", "--n-range", "1:2",
         )
         assert (code, err) == (0, "")
-        # A table's JSON holds its cells as text, p empty for an unused p.
+        # A table's JSON holds its values typed, p null for an unused p.
         rows = json.loads(out)
         assert [(row["k"], row["p"], row["n"]) for row in rows] == [
-            ("toy(1)", "", "1"), ("toy(2)", "", "2")
+            ("toy(1)", None, 1), ("toy(2)", None, 2)
         ]
         for row in rows:
             want = self.classified(run, path, row["n"], "highest")
-            assert (row["l"], row["r"], row["l-r"]) == (
-                str(want["l"]), str(want["r"]), str(want["nullity"])
-            )
+            assert (row["l"], row["r"], row["l-r"]) == (want["l"], want["r"], want["nullity"])
 
     def test_scan_has_two_rows_per_n(self, run, path):
         code, out, err = run(
@@ -587,12 +612,12 @@ class TestFixedRankFamilyWithN:
         assert (code, err) == (0, "")
         rows = json.loads(out)
         assert [(row["p"], row["n"], row["orbit"]) for row in rows] == [
-            ("", str(n), orbit) for n in (1, 2, 3) for orbit in ("long", "short")
+            (None, n, orbit) for n in (1, 2, 3) for orbit in ("long", "short")
         ]
         for row in rows:
             want = self.classified(run, path, row["n"], row["orbit"])
             assert (row["degenerate"], row["l"], row["r"]) == (
-                json.dumps(want["degenerate"]), str(want["l"]), str(want["r"])
+                want["degenerate"], want["l"], want["r"]
             )
 
 

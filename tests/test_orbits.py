@@ -721,6 +721,34 @@ class TestPrincipalCurvatures:
         with pytest.raises(ValueError, match="orthogonal"):
             orbits.principal_curvatures(pair, H, H)
 
+    def test_a_vector_of_another_dimension_is_named(self, db):
+        pair = db.get("su(p+1)|so(p+1)").instantiate(p=2)
+        H = orbits.resolve_orbit(pair, "highest")
+        with pytest.raises(ValueError, match=r"^dimension mismatch: xi 2 vs 3$"):
+            orbits.principal_curvatures(pair, H, rootvec(1, 1))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: H 4 vs 3$"):
+            orbits.principal_curvatures(pair, rootvec(1, -1, 1, -1), rootvec(1, -1, 0))
+
+    @pytest.mark.parametrize("key,p,n", [
+        ("su(p+1)|so(p+1)", 4, None), ("so(2p+n)|so(p)+so(p+n)", 3, 2),
+        ("sp(2p+n)|sp(p)+sp(p+n)", 3, 1), ("so(2p)|so(p)+so(p)", 4, None),
+        ("g2|so(4)", None, None), ("f4|su(2)+sp(3)", None, None),
+        ("e6|su(2)+su(6)", None, None),
+    ])
+    def test_spectrum_is_weyl_invariant(self, db, key, p, n):
+        pair = db.get(key).instantiate(p=p, n=n)
+        system = pair.system()
+        simple = system.simple_roots
+        rng = random.Random(key)
+        H = sum((rng.randint(-3, 3) * a for a in simple[1:]), rng.randint(1, 3) * simple[0])
+        xi = rootsys.inner(H, H) * simple[-1] - rootsys.inner(simple[-1], H) * H
+        spec = orbits.principal_curvatures(pair, H, xi)
+        assert len(spec) > 2  # a nonzero xi, and a spectrum of several values
+        for _ in range(20):
+            alpha = rng.choice(simple)
+            H, xi = rootsys.reflect(H, alpha), rootsys.reflect(xi, alpha)
+            assert orbits.principal_curvatures(pair, H, xi) == spec
+
     def test_kernel_intersection_is_parallel_class(self, db):
         # the common kernel over a basis of the normal flat picks out
         # exactly the roots on the line of H

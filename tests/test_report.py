@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import re
+import typing
 from fractions import Fraction
 from importlib import resources
 
@@ -205,18 +206,48 @@ class TestCells:
         )
         assert report.cells(self.Row, []) == (["name", "#", "flag"], [])
 
+    @pytest.mark.parametrize("value,want", [
+        (None, ""), (True, "true"), (False, "false"), (1, "1"), (0, "0"),
+        ("", ""), ("-", "-"), (Fraction(-3, 4), "-3/4"),
+        ([["long", 1], ["short", 2]], "long 1 short 2"), ([True, None, "x"], "true  x"),
+    ])
+    def test_text(self, value, want):
+        assert report.text(value) == want
+
 
 class TestRendering:
-    def test_formats_carry_identical_values(self, db):
-        scan = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 1))
-        for headers, cells in (
-            report.cells(report.Table1Row, report.table1_rows(db)),
-            report.scan_cells(scan),  # every pair cell holds a "|"
-        ):
-            md = parse_rendered(report.render_table(headers, cells, "md"), "md")
-            csv_ = parse_rendered(report.render_table(headers, cells, "csv"), "csv")
-            js = parse_rendered(report.render_table(headers, cells, "json"), "json")
-            assert md == csv_ == js
+    # Every table the CLI prints: its argv, its row class and the types of the
+    # values its JSON holds on that grid.
+    TABLES = {
+        "table1": (("table1",), report.Table1Row, {str, int}),
+        "table1-grid": (("table1", "--p-range", "2:3", "--n-range", "0:2"),
+                        report.Table1Instance, {str, int, type(None)}),
+        "scan": (("ferus", "--scan", "--p-range", "2:3", "--n-range", "0:1"),
+                 ferus.ScanRow, {str, int, bool, type(None)}),
+        "pairs": (("pairs", "list"), report.PairsRow, {str}),
+    }
+
+    def test_formats_carry_identical_values(self, capsys):
+        for argv, cls, types in self.TABLES.values():
+            parsed = {}
+            for fmt in ("md", "csv", "json"):
+                assert main(["--format", fmt, *argv]) == 0
+                parsed[fmt] = parse_rendered(capsys.readouterr().out, fmt)
+            rows = parsed["json"]
+            hints = typing.get_type_hints(cls)
+            headers = [f.metadata.get("header", f.name) for f in dataclasses.fields(cls)]
+            seen = set()
+            for row in rows:
+                assert list(row) == headers
+                for f, value in zip(dataclasses.fields(cls), row.values()):
+                    # Exact types: a bool is no int here, and an int no bool.
+                    assert type(value) in (typing.get_args(hints[f.name]) or (hints[f.name],))
+                    seen.add(type(value))
+                cls(*row.values())  # each row reads back as its dataclass
+            assert seen == types, argv
+            assert parsed["md"] == parsed["csv"] == [
+                {key: report.text(value) for key, value in row.items()} for row in rows
+            ]
 
     def test_scan_cells_round_trip(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 1))
@@ -226,8 +257,9 @@ class TestRendering:
         assert parsed[0]["pair"] == rows[0].pair
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            report.render_table(["a"], [["1"]], "xml")
+        for fmt in ("xml", "json"):  # JSON goes through to_json
+            with pytest.raises(ValueError, match="unknown format"):
+                report.render_table(["a"], [["1"]], fmt)
 
 
 class TestRationalStrings:
@@ -275,13 +307,13 @@ class TestJsonRoundTrips:
         row = ferus.equality_scan(db, p_range=(2, 2), n_range=(1, 1))[0]
         assert self.encode(row) == {
             "pair": "su(p+1)|so(p+1)", "p": 2, "n": None, "orbit": "long",
-            "degenerate": True, "l": 3, "r": 2, "ferus_l": 2, "equality": True,
+            "degenerate": True, "l": 3, "r": 2, "F(l)": 2, "equality": True,
         }
 
     def test_table1_row(self, db):
         assert self.encode(report.table1_rows(db)[0]) == {
-            "rstype": "A", "rank": "p", "g": "su(p+1)", "k": "so(p+1)",
-            "l": "2p-1", "r": "2p-2", "degeneracy": 1,
+            "type": "A", "rank": "p", "g": "su(p+1)", "k": "so(p+1)",
+            "l": "2p-1", "r": "2p-2", "l-r": 1,
         }
 
     def test_appendix(self):
