@@ -23,12 +23,18 @@ I-IV) are assembled from cached per-dimension blocks, the roots e_i + s e_j
 and k e_i, each holding its roots' squared lengths, measured once: the
 systems of one dimension share the blocks' roots and lengths, and the
 blocks are laid out so that the roots come out ascending.
+
+`RootSystemType` and `RootSystem` are frozen dataclasses; `_make_system`
+builds each `RootSystem`, which compares and hashes by identity.  `RootVec`
+stays a slotted class, every instance made by `_reduced`, because a
+namedtuple reads its fields more slowly and re-hashes every key.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -50,12 +56,11 @@ class RootVec:
 
     __slots__ = ("_num", "_den", "_hash")
 
-    def __init__(self, coords):
+    def __new__(cls, coords):
         cs = tuple(Fraction(c) for c in coords)
+        # Over the lcm of reduced denominators the vector is in lowest terms.
         den = lcm(*(c.denominator for c in cs)) if cs else 1
-        object.__setattr__(self, "_num", tuple(int(c * den) for c in cs))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", hash((self._num, den)))
+        return _reduced(tuple(int(c * den) for c in cs), den)
 
     @classmethod
     def _raw(cls, num: tuple[int, ...], den: int) -> "RootVec":
@@ -236,12 +241,15 @@ CLASSES = {
 }
 
 
+@dataclass(frozen=True, slots=True)
 class RootSystemType:
     """Family label plus rank, validated against the family constraints."""
 
-    __slots__ = ("family", "rank")
+    family: str
+    rank: int
 
-    def __init__(self, family: str, rank: int):
+    def __post_init__(self):
+        family, rank = self.family, self.rank
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
         fixed = _FIXED_RANK.get(family)
@@ -255,24 +263,6 @@ class RootSystemType:
             raise ValueError(f"family {family} requires rank >= 1, got {rank}")
         if rank > MAX_RANK:
             raise ValueError(f"rank {rank} of {family} is above the largest rank {MAX_RANK}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSystemType is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootSystemType)
-            and self.family == other.family
-            and self.rank == other.rank
-        )
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
-
-    def __repr__(self):
-        return f"RootSystemType({self.family}, {self.rank})"
 
     def label(self) -> str:
         if self.family in _FIXED_RANK:
@@ -297,83 +287,34 @@ def length_labels(norms) -> dict[Fraction, str]:
     return dict(zip(lengths, _LABELS[len(lengths)]))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RootSystem:
-    """A constructed root system; instances are cached singletons per type."""
+    """A constructed root system; instances are cached singletons per type.
 
-    __slots__ = (
-        "rstype",
-        "ambient_dim",
-        "simple_roots",
-        "simple_support",
-        "positive_roots",
-        "positive_classes",
-        "highest_root",
-        "significance",
-        "normals",
-        "_class_of",
-        "_class_labels",
-    )
+    `_make_system` builds one.  It compares and hashes by identity
+    (eq=False): caches key on systems, and a field-wise hash would walk
+    every root and fail on the dict fields.
+    """
 
-    def __init__(self, rstype, ambient_dim, simple_roots, positive_roots,
-                 highest_root, significance, normals=(), norms=None):
-        object.__setattr__(self, "rstype", rstype)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "simple_roots", tuple(simple_roots))
-        # The nonzero (index, numerator) pairs of each simple root, so a
-        # sign test against a simple root reads only those coordinates.
-        object.__setattr__(
-            self,
-            "simple_support",
-            tuple(
-                tuple((i, x) for i, x in enumerate(s._num) if x)
-                for s in self.simple_roots
-            ),
-        )
-        # norms are the roots' squared lengths, which the classical blocks
-        # measured; otherwise each root is measured here, an int, or a
-        # Fraction for a non-integral one, equal to the Fraction norm_sq
-        # gives.  The roots ascend in keys on integers: every numerator
-        # scaled to the common denominator of the roots, read in
-        # significance order (the numerator tuple itself for an integral
-        # system read first-coordinate-first).  The roots are sorted by
-        # index, so that their lengths follow them; the classical
-        # constructors pass them ascending, which the sort confirms in one
-        # pass.
-        den = lcm(*{v._den for v in positive_roots})
-        if norms is None:
-            norms = []
-            for v in positive_roots:
-                n, d2 = _dot_sign_num(v, v), v._den * v._den
-                norms.append(Fraction(n, d2) if n % d2 else n // d2)
-        if den == 1 and tuple(significance) == tuple(range(ambient_dim)):
-            keys = list(map(operator.attrgetter("_num"), positive_roots))
-        else:
-            keys = [tuple(map(_over(v, den).__getitem__, significance)) for v in positive_roots]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        positive = tuple(map(positive_roots.__getitem__, order))
-        norms = tuple(map(norms.__getitem__, order))
-        object.__setattr__(self, "positive_roots", positive)
-        # Class index into CLASSES[family] of each positive root; None for a
-        # length no class has, which _check_build rejects.
-        index = {length: i for i, (_, length, _, _) in enumerate(CLASSES[rstype.family])}
-        classes = tuple(map(index.get, norms))
-        object.__setattr__(self, "positive_classes", classes)
-        object.__setattr__(self, "highest_root", highest_root)
-        object.__setattr__(self, "significance", tuple(significance))
-        object.__setattr__(self, "normals", tuple(normals))
-        # The one index of the positive roots; a negative root is looked up
-        # through its negation.
-        object.__setattr__(self, "_class_of", dict(zip(positive, classes)))
-        # Length label of each class index, so root_class needs no norm; a
-        # length no class has gets none, and _check_build rejects its root.
-        object.__setattr__(
-            self,
-            "_class_labels",
-            {index[n]: label for n, label in length_labels(index.keys() & set(norms)).items()},
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSystem is immutable")
+    rstype: RootSystemType
+    ambient_dim: int
+    simple_roots: tuple[RootVec, ...]
+    # The nonzero (index, numerator) pairs of each simple root, so a sign
+    # test against a simple root reads only those coordinates.
+    simple_support: tuple[tuple[tuple[int, int], ...], ...]
+    positive_roots: tuple[RootVec, ...]  # ascending in sort_key order
+    # Class index into CLASSES[family] of each positive root; None for a
+    # length no class has, which _check_build rejects.
+    positive_classes: tuple[int | None, ...]
+    highest_root: RootVec
+    significance: tuple[int, ...]
+    normals: tuple[RootVec, ...]
+    # The one index of the positive roots; a negative root is looked up
+    # through its negation.
+    _class_of: dict[RootVec, int | None]
+    # Length label of each class index, so root_class needs no norm; a
+    # length no class has gets none, and _check_build rejects its root.
+    _class_labels: dict[int, str]
 
     def __repr__(self):
         return f"<RootSystem {self.rstype.label()}, {len(self.positive_roots)} positive roots>"
@@ -462,10 +403,43 @@ def _build_cached(family: str, rank: int) -> RootSystem:
         normals = [_reduced((1,) * simple[0].dim, 1)]
     elif family in ("E6", "E7"):  # the conditions _build_e cuts E8 down by
         normals = [_vec(8, (6, 1), (7, 1)), _vec(8, (5, 1), (6, -1))][: 8 - rank]
-    system = RootSystem(rstype, simple[0].dim, simple, positive, highest, significance,
-                        normals, norms)
+    system = _make_system(rstype, simple, positive, norms, highest, significance, normals)
     _check_build(system)
     return system
+
+
+def _make_system(rstype, simple_roots, positive_roots, norms, highest_root, significance,
+                 normals) -> RootSystem:
+    # norms are the roots' squared lengths, which the classical blocks
+    # measured; if None, each root is measured here, an int, or a Fraction
+    # for a non-integral one, equal to the Fraction norm_sq gives.  The
+    # roots ascend in keys on integers: every numerator scaled to the
+    # common denominator of the roots, read in significance order (the
+    # numerator tuple itself for an integral system read
+    # first-coordinate-first).  The roots are sorted by index, so that
+    # their lengths follow them; the classical constructors pass them
+    # ascending, which the sort confirms in one pass.
+    ambient_dim = simple_roots[0].dim
+    den = lcm(*{v._den for v in positive_roots})
+    if norms is None:
+        norms = []
+        for v in positive_roots:
+            n, d2 = _dot_sign_num(v, v), v._den * v._den
+            norms.append(Fraction(n, d2) if n % d2 else n // d2)
+    if den == 1 and tuple(significance) == tuple(range(ambient_dim)):
+        keys = list(map(operator.attrgetter("_num"), positive_roots))
+    else:
+        keys = [tuple(map(_over(v, den).__getitem__, significance)) for v in positive_roots]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    positive = tuple(map(positive_roots.__getitem__, order))
+    norms = tuple(map(norms.__getitem__, order))
+    index = {length: i for i, (_, length, _, _) in enumerate(CLASSES[rstype.family])}
+    classes = tuple(map(index.get, norms))
+    support = tuple(tuple((i, x) for i, x in enumerate(s._num) if x) for s in simple_roots)
+    labels = {index[n]: label for n, label in length_labels(index.keys() & set(norms)).items()}
+    return RootSystem(rstype, ambient_dim, tuple(simple_roots), support, positive, classes,
+                      highest_root, tuple(significance), tuple(normals),
+                      dict(zip(positive, classes)), labels)
 
 
 def _vec(dim: int, *entries) -> RootVec:

@@ -45,8 +45,8 @@ MUTANTS = (
      "if len(closure) > limit or pos != listed:",
      "if False:",
      "tests/test_rootsys.py::TestCheckBuild::test_reflection_closure_disagreement"),
-    # rootsys._block measures each root's length; RootSystem labels only the
-    # lengths a class has, so _check_build sees a stranger's
+    # rootsys._block measures each root's length; _make_system labels only
+    # the lengths a class has, so _check_build sees a stranger's
     ("rootsys.py",
      "tuple(sum(x * x for x in filter(None, v._num)) for v in row)",
      "tuple(sum(x * x for x in filter(None, row[0]._num)) for v in row)",
@@ -55,11 +55,21 @@ MUTANTS = (
      "length_labels(index.keys() & set(norms))",
      "length_labels(norms)",
      "tests/test_rootsys.py::TestCheckBuild::test_a_block_with_a_vector_outside_the_system"),
-    # RootSystem's sort of a constructor's roots
+    # _make_system's sort of a constructor's roots
     ("rootsys.py",
      "order = sorted(range(len(keys)), key=keys.__getitem__)",
      "order = range(len(keys))",
      "tests/test_rootsys.py::TestIntegerOrder::test_matches_fraction_reference"),
+    # RootSystem is frozen and hashes by identity
+    ("rootsys.py",
+     "@dataclass(frozen=True, slots=True, eq=False, repr=False)",
+     "@dataclass(frozen=True, slots=True, eq=True, repr=False)",
+     "tests/test_rootsys.py::TestValueTypes::test_a_system_hashes_by_identity"),
+    ("rootsys.py",
+     "@dataclass(frozen=True, slots=True, eq=False, repr=False)",
+     "@dataclass(frozen=False, slots=True, eq=False, repr=False)",
+     "tests/test_rootsys.py::TestValueTypes::"
+     "test_a_system_and_its_type_refuse_attribute_writes"),
     # rootsys.reflection_closure, reached through _check_build
     ("rootsys.py",
      "                if r:\n",

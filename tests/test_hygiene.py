@@ -152,6 +152,38 @@ def test_the_sweep_owns_the_only_orbit_cache():
     assert calls == ["cli.py"]
 
 
+def _object_setattr_readers(tree, name):
+    # The qualified name of the def or class around each read of
+    # object.__setattr__ in tree.
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _object_setattr_readers(child, f"{name}.{child.name}")
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            found.append(name)
+        found += _object_setattr_readers(child, name)
+    return found
+
+
+def test_value_types_are_frozen_dataclasses():
+    # Frozen dataclasses refuse writes; RootVec alone keeps a hand-written
+    # __setattr__, for its slots and cached hash.  Pair's __post_init__
+    # stores its rendered label.
+    setters, readers = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        setters += [
+            node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == "__setattr__"
+                    for item in node.body)
+        ]
+        readers += _object_setattr_readers(tree, path.stem)
+    assert setters == ["RootVec"]
+    assert readers == ["pairdb.Pair.__post_init__"]
+
+
 def test_every_mutant_still_applies():
     # tests/mutants.py edits each old text in place, and names its killing
     # test by node id; a refactor that moves either must update the list.

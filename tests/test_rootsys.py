@@ -94,6 +94,41 @@ class TestRootVec:
             v.coords = (1,)
 
 
+
+class TestValueTypes:
+    """RootSystemType and RootSystem are frozen; RootVec's constructor reduces."""
+
+    def test_a_system_and_its_type_refuse_attribute_writes(self):
+        system = rs.build("A", 3)
+        with pytest.raises(AttributeError):
+            system.highest_root = system.highest_root
+        with pytest.raises(AttributeError):
+            system.rstype.rank = system.rstype.rank
+
+    def test_a_system_hashes_by_identity(self):
+        system = rs.build("A", 3)
+        assert hash(system) == object.__hash__(system)
+        assert rs.build("A", 3) is system
+        assert rs.build(rs.RootSystemType("A", 3)) is system
+
+    def test_a_type_compares_and_hashes_by_family_and_rank(self):
+        b3 = rs.RootSystemType("B", 3)
+        assert b3 == rs.RootSystemType("B", 3)
+        assert hash(b3) == hash(rs.RootSystemType("B", 3)) == hash(("B", 3))
+        assert b3 not in (rs.RootSystemType("C", 3), rs.RootSystemType("B", 4), ("B", 3))
+        assert repr(b3) == "RootSystemType(family='B', rank=3)"
+
+    @given(st.lists(rationals, min_size=1, max_size=6))
+    @example([Fraction(1, 2), Fraction(-1, 3), 2])
+    def test_the_constructor_is_reduced_of_the_same_numerators(self, coords):
+        den = lcm(*(Fraction(c).denominator for c in coords))
+        num = tuple(int(c * den) for c in coords)
+        v, w = RootVec(coords), rs._reduced(num, den)
+        assert v == w and hash(v) == hash(w)
+        assert (v._num, v._den) == (num, den)
+        assert RootVec._raw(tuple(3 * x for x in num), 3 * den) == v
+
+
 class TestInner:
     def test_orthogonality(self):
         assert rs.inner(rootvec(1, 1), rootvec(1, -1)) == 0
@@ -538,9 +573,9 @@ class TestHeights:
         # `_check_build`, whose reflection closure would refuse it first.
         a2 = rs.build("A", 2)
         a1, a2_ = a2.simple_roots
-        system = rs.RootSystem(
-            a2.rstype, a2.ambient_dim, (a1, a2_ - a1), a2.positive_roots,
-            a2.highest_root, a2.significance,
+        system = rs._make_system(
+            a2.rstype, (a1, a2_ - a1), a2.positive_roots, None,
+            a2.highest_root, a2.significance, a2.normals,
         )
         with pytest.raises(rs.InvariantViolation, match="A2: a simple root is not a positive root"):
             rs._heights(system)
