@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter, mul
 
 from . import pairdb, rootsys
@@ -116,15 +116,9 @@ def weyl_fold(system: RootSystem, H: RootVec) -> RootVec:
 _WALL_COUNTS_MAX = 4096
 _wall_counts: dict = {}
 
-# The class lengths of each family, longest first.
-_LENGTHS_DOWN = {
-    family: sorted((length for _, length, _, _ in classes), reverse=True)
-    for family, classes in rootsys.CLASSES.items()
-}
-
 
 def _orbit_facts(system: RootSystem, H: RootVec):
-    """The facts of the orbit through the chamber point H that no pair changes.
+    """The facts of the orbit through the primitive chamber ray H that no pair changes.
 
     Returns (counts, lam, class index of lam, (a) and (b) at lam): counts
     holds, per class of CLASSES[family], the number of positive roots not
@@ -137,11 +131,10 @@ def _orbit_facts(system: RootSystem, H: RootVec):
     of non-negative terms (Humphreys, Introduction to Lie Algebras, 10.1):
     the roots orthogonal to H, hence the counts, depend only on the walls
     {i : <alpha_i, H> = 0}.  One pass over the positive roots counts them
-    for each new (system, walls).  A root t H on the line of H is dominant,
-    hence positive, with t = sqrt(L / |H|^2) for its class length L; so lam
-    is found by looking up t H for each L, longest first, that makes t
-    rational.  An H outside the closed chamber, which a wrong fold would
-    give, raises ValueError.
+    for each new (system, walls).  A root on the line of H is dominant,
+    hence the highest root of its class (Humphreys 10.3), so lam is
+    looked up by H among those roots' primitive rays.  An H outside the
+    closed chamber, which a wrong fold would give, raises ValueError.
     """
     num = H._num
     walls = []
@@ -170,20 +163,10 @@ def _orbit_facts(system: RootSystem, H: RootVec):
         if len(_wall_counts) >= _WALL_COUNTS_MAX:
             del _wall_counts[next(iter(_wall_counts))]
         _wall_counts[key] = counts
-    # With H = N / d, the root on the line with |t H|^2 = L is (s / |N|^2) N
-    # for s = sqrt(L |N|^2), rational only when L |N|^2 is a square.
-    hh = sum(x * x for x in num)
-    for length in _LENGTHS_DOWN[system.rstype.family]:
-        s = isqrt(length * hh)
-        if s * s == length * hh:
-            lam = RootVec._raw(tuple(s * x for x in num), hh)
-            c = system._class_of.get(lam)
-            if c is not None:
-                # (a), that 2 lam is no root, holds by construction: 2 lam
-                # is longer and on the same line, so this walk would have
-                # found it first.  (a) and (b) is (b).
-                return counts, lam, c, cond_b(system, lam)
-    return counts, None, None, None
+    lam, c = system._ray_highest.get(H, (None, None))
+    # (a), that 2 lam is no root, holds by construction: 2 lam is longer
+    # and on the same ray, which keeps its longest root.  (a) and (b) is (b).
+    return counts, lam, c, None if lam is None else cond_b(system, lam)
 
 
 @lru_cache(maxsize=4096)
@@ -207,26 +190,15 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     return True
 
 
-def _canonical_class_rep(system: RootSystem, spec: str) -> RootVec:
-    # positive_roots ascend in sort_key order, so the last root of the
-    # class is its maximum.
-    for v in reversed(system.positive_roots):
-        if system.root_class(v) == spec:
-            return v
-    raise ValueError(f"no {spec} roots in {system.rstype.label()}")
-
-
 def resolve_orbit(pair: pairdb.Pair, spec: str) -> RootVec:
-    """The chamber point of pair's system that one of ORBIT_SPECS names."""
+    """The highest root of the class one of ORBIT_SPECS names ("highest" is "long")."""
     system = pair.system()
-    if spec in ("highest", "long"):
-        return system.highest_root
-    if spec in ("short", "middle"):
-        try:
-            return _canonical_class_rep(system, spec)
-        except ValueError as exc:
-            raise ValueError(f"{pair.family.key}: {exc}") from None
-    raise ValueError(f"unknown orbit spec {spec!r}")
+    if spec not in ORBIT_SPECS:
+        raise ValueError(f"unknown orbit spec {spec!r}")
+    root = system._class_highest.get("long" if spec == "highest" else spec)
+    if root is None:
+        raise ValueError(f"{pair.family.key}: no {spec} roots in {system.rstype.label()}")
+    return root
 
 
 def _check_span(system: RootSystem, v: RootVec) -> None:

@@ -86,15 +86,10 @@ class Pair:
     family: PairFamily
     rstype: RootSystemType
     mult_by_class: tuple[tuple[str, int], ...]  # in rootsys.CLASSES order
-    p: int | None = None
-    n: int | None = None
-
-    def __post_init__(self):
-        # Rendered once here, with no lock: classify reads it for every report.
-        params = [f"p={self.p}" if self.p is not None else "",
-                  f"n={self.n}" if self.n is not None else ""]
-        params = ",".join(x for x in params if x)
-        object.__setattr__(self, "_label", self.family.key + (f" [{params}]" if params else ""))
+    p: int | None
+    n: int | None
+    # Rendered once by PairFamily.instantiate: classify reads it for every report.
+    _label: str
 
     def system(self) -> RootSystem:
         return rootsys.build(self.rstype)
@@ -170,7 +165,10 @@ class PairFamily:
         n = self._parameter("n", n, self.n_min, self.n_max)
         rank = p if self.rank_expr == "p" else int(self.rank_expr)
         rstype = RootSystemType(self.family, rank)
-        return Pair(self, rstype, tuple((tag, m(p, n)) for tag, m in self.mult), p, n)
+        params = ",".join(f"{name}={value}" for name, value in (("p", p), ("n", n))
+                          if value is not None)
+        label = self.key + (f" [{params}]" if params else "")
+        return Pair(self, rstype, tuple((tag, m(p, n)) for tag, m in self.mult), p, n, label)
 
     def instantiations(self, p_range, n_range):
         """The pairs at each (p, n) of the p axis times the n axis.

@@ -24,6 +24,10 @@ and k e_i, each holding its roots' squared lengths, measured once: the
 systems of one dimension share the blocks' roots and lengths, and the
 blocks are laid out so that the roots come out ascending.
 
+Every system built is irreducible (D from rank 3), so each length class
+has one dominant root, its highest (Humphreys, Introduction to Lie
+Algebras, 10.3); `_make_system` records it for each class, by ray too.
+
 `RootSystemType` and `RootSystem` are frozen dataclasses; `_make_system`
 builds each `RootSystem`, which compares and hashes by identity.  `RootVec`
 stays a slotted class, every instance made by `_reduced`, because a
@@ -241,7 +245,7 @@ CLASSES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RootSystemType:
     """Family label plus rank, validated against the family constraints."""
 
@@ -253,14 +257,12 @@ class RootSystemType:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
         fixed = _FIXED_RANK.get(family)
+        lowest = 3 if family == "D" else 1  # D2 = A1 x A1 is reducible
         if fixed is not None:
             if rank != fixed:
                 raise ValueError(f"family {family} has fixed rank {fixed}, got {rank}")
-        elif family == "D":
-            if rank < 2:
-                raise ValueError(f"family D requires rank >= 2, got {rank}")
-        elif rank < 1:
-            raise ValueError(f"family {family} requires rank >= 1, got {rank}")
+        elif rank < lowest:
+            raise ValueError(f"family {family} requires rank >= {lowest}, got {rank}")
         if rank > MAX_RANK:
             raise ValueError(f"rank {rank} of {family} is above the largest rank {MAX_RANK}")
 
@@ -287,7 +289,7 @@ def length_labels(norms) -> dict[Fraction, str]:
     return dict(zip(lengths, _LABELS[len(lengths)]))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RootSystem:
     """A constructed root system; instances are cached singletons per type.
 
@@ -315,6 +317,10 @@ class RootSystem:
     # Length label of each class index, so root_class needs no norm; a
     # length no class has gets none, and _check_build rejects its root.
     _class_labels: dict[int, str]
+    # Each class's highest root by length label, and (root, class index) of
+    # each by primitive ray, the longer class keeping a shared ray (BC's e_1).
+    _class_highest: dict[str, RootVec]
+    _ray_highest: dict[RootVec, tuple[RootVec, int]]
 
     def __repr__(self):
         return f"<RootSystem {self.rstype.label()}, {len(self.positive_roots)} positive roots>"
@@ -437,9 +443,18 @@ def _make_system(rstype, simple_roots, positive_roots, norms, highest_root, sign
     classes = tuple(map(index.get, norms))
     support = tuple(tuple((i, x) for i, x in enumerate(s._num) if x) for s in simple_roots)
     labels = {index[n]: label for n, label in length_labels(index.keys() & set(norms)).items()}
+    tops = {}  # each class's last root, its highest
+    for v, c in zip(reversed(positive), reversed(classes)):
+        if c in labels and c not in tops:
+            tops[c] = v
+            if len(tops) == len(labels):
+                break
+    # Shortest class first (CLASSES order): a longer class keeps a shared ray.
+    rays = {primitive_ray(tops[c]): (tops[c], c) for c in sorted(tops)}
     return RootSystem(rstype, ambient_dim, tuple(simple_roots), support, positive, classes,
                       highest_root, tuple(significance), tuple(normals),
-                      dict(zip(positive, classes)), labels)
+                      dict(zip(positive, classes)), labels,
+                      {labels[c]: v for c, v in tops.items()}, rays)
 
 
 def _vec(dim: int, *entries) -> RootVec:
@@ -727,29 +742,32 @@ def _check_build(system: RootSystem) -> None:
     # positive_roots ascend in sort_key order, so the last is the maximum.
     if system.positive_roots[-1] != system.highest_root:
         raise InvariantViolation(f"{label}: highest root is not the lexicographic maximum")
-    if rank > 8:
-        return
-    # Independent reconstruction: reflection closure of the simple roots,
-    # doubling the short roots in the non-reduced case, on numerators over
-    # one denominator of every simple and positive root.  The closure of a
-    # root system holds at most 2|R+| vectors (BC's is B's, which is fewer).
-    limit = 2 * len(system.positive_roots)
-    den = lcm(*(v._den for v in system.simple_roots + system.positive_roots))
-    closure = reflection_closure(system, den, limit)
-    get = operator.itemgetter(*system.significance)
-    zero = get((0,) * system.ambient_dim)
-    pos = {v for v in closure if get(v) > zero}
-    if family == "BC":
-        shortest = min(sum(x * x for x in v) for v in pos)
-        pos |= {tuple(2 * x for x in v) for v in pos if sum(x * x for x in v) == shortest}
-    listed = {_over(v, den) for v in system.positive_roots}
-    if len(closure) > limit or pos != listed:
-        raise InvariantViolation(
-            f"{label}: reflection closure disagrees with the explicit root list"
-        )
-    heights = _heights(system)
-    top = heights[system.highest_root]
-    if not (family == "D" and rank == 2):  # D2 is reducible
+    if rank <= 8:
+        # Independent reconstruction: reflection closure of the simple roots,
+        # doubling the short roots in the non-reduced case, on numerators over
+        # one denominator of every simple and positive root.  The closure of a
+        # root system holds at most 2|R+| vectors (BC's is B's, which is fewer).
+        limit = 2 * len(system.positive_roots)
+        den = lcm(*(v._den for v in system.simple_roots + system.positive_roots))
+        closure = reflection_closure(system, den, limit)
+        get = operator.itemgetter(*system.significance)
+        zero = get((0,) * system.ambient_dim)
+        pos = {v for v in closure if get(v) > zero}
+        if family == "BC":
+            shortest = min(sum(x * x for x in v) for v in pos)
+            pos |= {tuple(2 * x for x in v) for v in pos if sum(x * x for x in v) == shortest}
+        listed = {_over(v, den) for v in system.positive_roots}
+        if len(closure) > limit or pos != listed:
+            raise InvariantViolation(
+                f"{label}: reflection closure disagrees with the explicit root list"
+            )
+        heights = _heights(system)
+        top = heights[system.highest_root]
         for mu, coeffs in heights.items():
             if any(map(operator.lt, top, coeffs)):
                 raise InvariantViolation(f"{label}: highest root does not dominate {mu!r}")
+    # At every rank, each class's highest root is dominant.
+    for length, v in system._class_highest.items():
+        for support in system.simple_support:
+            if sum(x * v._num[k] for k, x in support) < 0:
+                raise InvariantViolation(f"{label}: highest {length} root {v!r} is not dominant")

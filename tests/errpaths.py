@@ -3,7 +3,8 @@
     python tests/errpaths.py --against REV    # REV: a commit, branch or tag
 
 The cases are a fixed list of argvs: each subcommand's refusals, a few
-commands run with a malformed `--pairs` file, and `pairs list` on every
+commands run with a malformed `--pairs` file or with one whose first D
+record starts at rank 2 (D2 is reducible), and `pairs list` on every
 deterministic one-line mutation of `pairs.dat` (each line cut, doubled, or
 one token swapped for each of a few replacements).  REV's `src/` is taken
 with `git archive` into a temporary directory.  Each side runs every case
@@ -89,6 +90,12 @@ WITH_MALFORMED = [
     ["appendix", "--algebra", "b3"],
 ]
 
+# Commands run with pairs.dat's first D record starting at rank 2.
+WITH_D2 = [
+    ["pairs", "list"],
+    ["classify", "--pair", "so(2p)|so(p)+so(p)", "--p", "2", "--root", "highest"],
+]
+
 # What a token of a pairs.dat line is swapped for, one case each.
 REPLACEMENTS = ["0", "-1", "71", "p", "n", "2*p", "*", "G2", "BC", "x",
                 "hermitian", "normal_real_form", "group_manifold",
@@ -120,6 +127,10 @@ def cases():
         yield " ".join(argv), argv, None
     for argv in WITH_MALFORMED:
         yield "--pairs <malformed> " + " ".join(argv), ["--pairs", "{pairs}", *argv], MALFORMED
+    d2 = PAIRS_DAT.read_text().replace("  type D p\n  params p 3 *\n",
+                                       "  type D p\n  params p 2 *\n", 1)
+    for argv in WITH_D2:
+        yield "--pairs <D from rank 2> " + " ".join(argv), ["--pairs", "{pairs}", *argv], d2
     for label, text in mutations(PAIRS_DAT.read_text()):
         yield label, ["--pairs", "{pairs}", "pairs", "list"], text
 

@@ -62,12 +62,12 @@ MUTANTS = (
      "tests/test_rootsys.py::TestIntegerOrder::test_matches_fraction_reference"),
     # RootSystem is frozen and hashes by identity
     ("rootsys.py",
-     "@dataclass(frozen=True, slots=True, eq=False, repr=False)",
-     "@dataclass(frozen=True, slots=True, eq=True, repr=False)",
+     "@dataclass(frozen=True, eq=False, repr=False)",
+     "@dataclass(frozen=True, eq=True, repr=False)",
      "tests/test_rootsys.py::TestValueTypes::test_a_system_hashes_by_identity"),
     ("rootsys.py",
-     "@dataclass(frozen=True, slots=True, eq=False, repr=False)",
-     "@dataclass(frozen=False, slots=True, eq=False, repr=False)",
+     "@dataclass(frozen=True, eq=False, repr=False)",
+     "@dataclass(frozen=False, eq=False, repr=False)",
      "tests/test_rootsys.py::TestValueTypes::"
      "test_a_system_and_its_type_refuse_attribute_writes"),
     # rootsys.reflection_closure, reached through _check_build
@@ -165,6 +165,16 @@ MUTANTS = (
      "if any(map(operator.lt, top, coeffs)):",
      "if False:",
      "tests/test_rootsys.py::TestCheckBuild::test_a_reducible_system"),
+    # rootsys._check_build: each class's highest root is dominant, at every rank
+    ("rootsys.py",
+     "if sum(x * v._num[k] for k, x in support) < 0:",
+     "if False:",
+     "tests/test_rootsys.py::TestCheckBuild::test_a_highest_root_that_is_not_dominant"),
+    # rootsys._make_system's ray table: a longer class keeps a shared ray
+    ("rootsys.py",
+     "for c in sorted(tops)}",
+     "for c in sorted(tops, reverse=True)}",
+     "tests/test_orbits.py::TestParallelRoot::test_the_ray_of_a_class_top_gives_its_longest_root"),
     # orbits._orbit_facts
     ("orbits.py",
      "        if dot < 0:\n            raise ValueError(",
@@ -270,7 +280,7 @@ MUTANTS = (
     ("cayley.py",
      "got[perm[i]][perm[j]] == want[i][j]",
      "True",
-     "tests/test_cayley.py::TestVerifyAppendix::test_projection_needs_m_roots"),
+     "tests/test_cayley.py::TestVerifyAppendix::test_a_type_is_told_by_its_cartan_matrix"),
     ("cayley.py",
      "if system.contains_positive(s) and s != delta:\n                return False",
      "if system.contains_positive(s) and s != delta:\n                pass",

@@ -86,7 +86,7 @@ def test_c3_wolf_suite():
             [("A", p) for p in range(1, 9)]
             + [("B", p) for p in range(1, 9)]
             + [("C", p) for p in range(1, 9)]
-            + [("D", p) for p in range(2, 9)]
+            + [("D", p) for p in range(3, 9)]
             + [("BC", p) for p in range(1, 9)]
             + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
         )

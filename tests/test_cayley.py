@@ -383,6 +383,13 @@ class TestVerifyAppendix:
         assert verdict.projected_type == pair.rstype.label()
         assert dict(verdict.multiplicities) == dict(pair.mult_by_class)
 
+    def test_a_type_is_told_by_its_cartan_matrix(self):
+        # B3 and C3 both have rank 3 and 9 positive roots; only the Cartan
+        # matrix of the simple roots tells C3's roots from B3's.
+        c3 = rootsys.build("C", 3)
+        values = set(c3.positive_roots) | {-v for v in c3.positive_roots}
+        assert cayley._identify_type(values, c3) == rootsys.RootSystemType("C", 3)
+
     def test_projection_needs_m_roots(self):
         with pytest.raises(InvariantViolation):
             # the positives (1,-1) and (3,-3) are both simple: rank 2 with two

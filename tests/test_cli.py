@@ -314,6 +314,16 @@ class TestUserSuppliedDatabase:
         "end\n"
     )
 
+    def test_a_d_record_from_rank_two_is_refused(self, run, tmp_path):
+        # D2 = A1 x A1 is reducible: the record's smallest pair is refused.
+        path = tmp_path / "pairs.dat"
+        path.write_text(PAIRS_DAT.replace(
+            "  type D p\n  params p 3 *\n", "  type D p\n  params p 2 *\n", 1))
+        line = PAIRS_DAT.splitlines().index("pair so(2p)|so(p)+so(p)") + 1
+        code, out, err = run("--pairs", str(path), "pairs", "list")
+        assert (code, out) == (1, "")
+        assert err == f"error: line {line}: family D requires rank >= 3, got 2\n"
+
     def test_classify_against_custom_pair(self, run, tmp_path):
         path = tmp_path / "pairs.dat"
         path.write_text(self.CUSTOM)

@@ -3,6 +3,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -87,7 +88,7 @@ def _systems(max_rank):
             if fixed <= max_rank:
                 yield rootsys.build(family)
             continue
-        for rank in range(2 if family == "D" else 1, max_rank + 1):
+        for rank in range(3 if family == "D" else 1, max_rank + 1):
             yield rootsys.build(family, rank)
 
 
@@ -152,7 +153,7 @@ def _classical_points(draw):
     # entries with or without a zero entry; in A, mostly outside the root
     # span (its coordinates need not sum to zero).
     family = draw(st.sampled_from(("A", "B", "C", "BC", "D")))
-    system = rootsys.build(family, draw(st.integers(2 if family == "D" else 1, 8)))
+    system = rootsys.build(family, draw(st.integers(3 if family == "D" else 1, 8)))
     dim = system.ambient_dim
     den = draw(st.sampled_from((1, 2, 3, 6)))
     num = draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim))
@@ -210,6 +211,20 @@ class TestClassicalFold:
             orbits.classify(pair, H)
 
 
+def _canonical_class_rep(system, spec):
+    # Reference for resolve_orbit: positive_roots ascend in sort_key order,
+    # so the last root of the class is its maximum.
+    for v in reversed(system.positive_roots):
+        if system.root_class(v) == spec:
+            return v
+    raise ValueError(f"no {spec} roots in {system.rstype.label()}")
+
+
+def _stub_pair(system):
+    # What resolve_orbit reads of a pair: its system and its family's key.
+    return SimpleNamespace(system=lambda: system, family=SimpleNamespace(key="x|y"))
+
+
 def _dense_orbit_facts(system, H):
     # Reference: a full-coordinate Fraction dot, an ascending walk, and
     # is_parallel on every positive root not orthogonal to H.
@@ -255,7 +270,7 @@ class TestOrbitFactsReference:
         points = [system.highest_root]
         for spec in ("short", "middle"):
             try:
-                points.append(orbits._canonical_class_rep(system, spec))
+                points.append(_canonical_class_rep(system, spec))
             except ValueError:
                 pass
         for H in points:
@@ -335,7 +350,7 @@ class TestConditionAByConstruction:
             points = [system.highest_root]
             for spec in ("long", "middle", "short"):
                 try:
-                    points.append(orbits._canonical_class_rep(system, spec))
+                    points.append(_canonical_class_rep(system, spec))
                 except ValueError:
                     pass
             if system.rank <= 3:
@@ -392,6 +407,8 @@ class TestOrbitReport:
 
 
 class TestCanonicalClassRep:
+    # resolve_orbit reads each class's highest root from the system's table.
+
     def test_is_the_sort_key_maximum_of_its_class(self):
         systems = list(_systems(8)) + [
             rootsys.build(family, 30) for family in ("A", "B", "C", "D", "BC")
@@ -401,16 +418,48 @@ class TestCanonicalClassRep:
                 members = [v for v in system.positive_roots
                            if system.root_class(v) == spec]
                 if not members:
-                    with pytest.raises(ValueError, match="no .* roots in"):
-                        orbits._canonical_class_rep(system, spec)
+                    with pytest.raises(ValueError, match="^x|y: no .* roots in"):
+                        orbits.resolve_orbit(_stub_pair(system), spec)
                     continue
-                assert orbits._canonical_class_rep(system, spec) == max(
+                assert orbits.resolve_orbit(_stub_pair(system), spec) == max(
                     members, key=system.sort_key), (system, spec)
+
+    @pytest.mark.parametrize("family", rootsys.FAMILIES)
+    def test_matches_the_walk_down_r_plus(self, family):
+        fixed = rootsys._FIXED_RANK.get(family)
+        lowest = 3 if family == "D" else 1
+        for rank in [fixed] if fixed else [*range(lowest, 11), 30, rootsys.MAX_RANK]:
+            system = rootsys.build(family, rank)
+            pair = _stub_pair(system)
+            assert orbits.resolve_orbit(pair, "highest") == system.highest_root
+            for spec in ("long", "middle", "short"):
+                try:
+                    want = _canonical_class_rep(system, spec)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(f'x|y: {exc}')}$"):
+                        orbits.resolve_orbit(pair, spec)
+                    continue
+                assert orbits.resolve_orbit(pair, spec) == want, (system, spec)
 
 
 class TestParallelRoot:
     # The root on the line of H decides the rule, and its multiplicity is
     # the nullity.
+
+    def test_the_ray_of_a_class_top_gives_its_longest_root(self):
+        # Where two classes share a ray the longer keeps it: BC's e_1 and 2e_1.
+        bc = rootsys.build("BC", 3)
+        assert orbits._orbit_facts(bc, rootvec(1, 0, 0))[1:3] == (rootvec(2, 0, 0), 2)
+        systems = _SYSTEMS_TO_8 + [
+            rootsys.build(family, 30) for family in ("A", "B", "C", "D", "BC")
+        ]
+        for system in systems:
+            for top in system._class_highest.values():
+                ray = rootsys.primitive_ray(top)
+                longest = max((v for v in system.positive_roots if reference.is_parallel(v, ray)),
+                              key=rootsys.norm_sq)
+                _, lam, c, _ = orbits._orbit_facts(system, ray)
+                assert (lam, c) == (longest, system.class_index(longest)), (system, top)
 
     def test_bc_prefers_long(self, db):
         # e_1 and 2e_1 share the line of H; the nullity is m(2e_i) alone
@@ -516,7 +565,7 @@ class TestConditions:
         systems = [
             rootsys.build(f, r)
             for f in ("A", "B", "C", "D", "BC")
-            for r in range(2 if f == "D" else 1, 9)
+            for r in range(3 if f == "D" else 1, 9)
         ]
         systems += [rootsys.build(f) for f in ("E6", "E7", "E8", "F4", "G2")]
         checked = 0
@@ -532,7 +581,7 @@ class TestConditions:
                         two_sided = two_sided and not (plus or minus)
                 if system.contains_positive(lam):
                     assert orbits.cond_b(system, lam) == two_sided, (system, lam)
-        assert checked == 63096
+        assert checked == 63092
 
 
 class TestClassify:
@@ -657,7 +706,8 @@ class TestClassify:
             orbits.classify(pair, rootvec(1, 0))
 
     def test_a_pair_renders_its_label_once(self, db):
-        # The label is the only reader of family.key on the report path.
+        # PairFamily.instantiate renders the label, so the report path reads
+        # no family.key.
         class CountingFamily:
             def __init__(self, family):
                 self.family, self.reads = family, 0
@@ -672,7 +722,7 @@ class TestClassify:
         counted = replace(pair, family=counting)
         points = [orbits.resolve_orbit(pair, spec) for spec in ("long", "short")]
         reports = [orbits.classify(counted, points[i % 2]) for i in range(1000)]
-        assert counting.reads == 1
+        assert counting.reads == 0
         assert {rep.pair for rep in reports} == {"so(2p+n)|so(p)+so(p+n) [p=3,n=2]"}
 
     def test_ab_outside_the_rule_is_invariant_violation(self, db, monkeypatch):

@@ -372,7 +372,7 @@ class TestInstantiations:
         fam = db.get("so(2p+n)|so(p)+so(p+n)")
         pair = fam.instantiate(p=3, n=2)
         assert [f.name for f in dataclasses.fields(pairdb.Pair)] == [
-            "family", "rstype", "mult_by_class", "p", "n"
+            "family", "rstype", "mult_by_class", "p", "n", "_label"
         ]
         assert pair.family is fam
         assert pair.label() == "so(2p+n)|so(p)+so(p+n) [p=3,n=2]"

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
 
@@ -14,7 +15,7 @@ ALL_TYPES = (
     [("A", p) for p in range(1, 9)]
     + [("B", p) for p in range(1, 9)]
     + [("C", p) for p in range(1, 9)]
-    + [("D", p) for p in range(2, 9)]
+    + [("D", p) for p in range(3, 9)]
     + [("BC", p) for p in range(1, 9)]
     + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
 )
@@ -105,6 +106,12 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             system.rstype.rank = system.rstype.rank
 
+    def test_a_name_that_is_no_field_is_refused_too(self):
+        system = rs.build("A", 3)
+        for value in (system, system.rstype):
+            with pytest.raises(FrozenInstanceError):
+                value.extra = None
+
     def test_a_system_hashes_by_identity(self):
         system = rs.build("A", 3)
         assert hash(system) == object.__hash__(system)
@@ -172,8 +179,10 @@ class TestBuild:
             rs._build_cached.cache_clear()
 
     def test_bad_types(self):
-        with pytest.raises(ValueError, match="rank >= 2"):
-            rs.build("D", 1)
+        # D2 = A1 x A1 is reducible, and no system built is.
+        for rank in (1, 2):
+            with pytest.raises(ValueError, match=f"^family D requires rank >= 3, got {rank}$"):
+                rs.build("D", rank)
         with pytest.raises(ValueError, match="rank >= 1"):
             rs.build("A", 0)
         with pytest.raises(ValueError, match="fixed rank"):
@@ -231,8 +240,6 @@ class TestBuild:
 
     @pytest.mark.parametrize("family,rank", ALL_TYPES)
     def test_highest_root_dominates(self, family, rank):
-        if (family, rank) == ("D", 2):
-            pytest.skip("D2 is reducible; no root dominates the other component")
         system = rs.build(family, rank)
         for mu in system.positive_roots:
             coeffs = simple_coefficients(system, system.highest_root - mu)
@@ -362,7 +369,8 @@ class TestHighestRootCounts:
     @pytest.mark.parametrize("family", rs.FAMILIES)
     def test_counts_match_built_systems(self, family):
         fixed = rs._FIXED_RANK.get(family)
-        for rank in [fixed] if fixed else [*range(2, 31), rs.MAX_RANK]:
+        lowest = 3 if family == "D" else 2
+        for rank in [fixed] if fixed else [*range(lowest, 31), rs.MAX_RANK]:
             system = rs.build(family, rank)
             tally = [0] * len(rs.CLASSES[family])
             for v, c in zip(system.positive_roots, system.positive_classes):
@@ -509,7 +517,7 @@ class TestParallel:
 
 ORDER_TYPES = (
     [(f, p) for f in ("A", "B", "C", "BC") for p in range(1, 13)]
-    + [("D", p) for p in range(2, 13)]
+    + [("D", p) for p in range(3, 13)]
     + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
     + [(f, 30) for f in ("A", "B", "C", "D", "BC")]
 )
@@ -807,6 +815,24 @@ class TestCheckBuild:
                 rs.build(family, rank)
         finally:
             rs._build_cached.cache_clear()
+
+    @pytest.mark.parametrize("family,rank,length", [
+        ("B", 9, "short"), ("C", 12, "short"), ("BC", 9, "middle"), ("BC", 9, "short"),
+    ])
+    def test_a_highest_root_that_is_not_dominant(self, monkeypatch, family, rank, length):
+        # A class's dominant root swapped for its negation, which sorts
+        # first: the class keeps its count, and its new last root pairs
+        # negatively with a simple root.  Above rank 8 no closure is compared.
+        top = rs.build(family, rank)._class_highest[length]
+
+        def edit(positive):
+            return [-v if v == top else v for v in positive]
+
+        with pytest.raises(
+            rs.InvariantViolation,
+            match=fr"^{family}{rank}: highest {length} root RootVec\(.*\) is not dominant$",
+        ):
+            self._build_with(monkeypatch, family, rank, edit)
 
     def test_a_reducible_system(self, monkeypatch):
         # A1 x A1 passed off as A2: one class of two roots of length 2, a
