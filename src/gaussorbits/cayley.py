@@ -180,7 +180,7 @@ def sum_lands_on_delta(datum: ProjectionDatum) -> bool:
     """When two ratio-1/2 roots sum to a root, that root is the highest one."""
     system, mp = datum.ambient, datum.m_plus
     delta = system.highest_root
-    lengths = [length for _, length, _, _ in rootsys.CLASSES[system.rstype.family]]
+    lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
     norms = [lengths[system.class_index(a)] for a in mp]
     for i, a in enumerate(mp):
         for j in range(i, len(mp)):

@@ -10,6 +10,7 @@ r = F(l) sit exactly on that boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import orbits, pairdb, rootsys
 
@@ -70,17 +71,6 @@ def ferus_identity_check(q: int) -> bool:
     return all(ferus(2**q + a).F == 2**q for a in range(bound + 1))
 
 
-def _scan_orbits(classes) -> tuple[str, ...]:
-    # One orbit per class, longest first, except a class whose roots lie on
-    # the line of a class four times as long: BC's e_i and 2e_i share a ray.
-    lengths = [length for _, length, _, _ in classes]
-    labels = rootsys.length_labels(lengths)
-    return tuple(labels[length] for length in labels if 4 * length not in lengths)
-
-
-# Orbit specs swept per restricted-system family.
-_SCAN_ORBITS = {family: _scan_orbits(classes) for family, classes in rootsys.CLASSES.items()}
-
 DEFAULT_P_RANGE = (2, 16)
 DEFAULT_N_RANGE = (0, 16)
 
@@ -103,31 +93,29 @@ def equality_scan(
     p_range: tuple[int, int] = DEFAULT_P_RANGE,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
 ) -> list[ScanRow]:
-    """Classify every orbit class of every instantiation; flag F(l) = r.
+    """Each orbit the scan sweeps at each (p, n) of each family's grid; flag F(l) = r.
 
-    The Ferus equality is only meaningful for degenerate orbits, so
-    non-degenerate rows always carry equality=False.
+    The orbits go through the highest root of each class with a count row
+    in rootsys.HIGHEST_COUNTS.  l is that row times the multiplicities, and
+    r = l - m(class) when `orbits.rule_for` calls the orbit degenerate, else
+    l: polynomials in p and n formed once per family, so nothing is built.
+    Non-degenerate rows carry equality=False: F(l) = r concerns degenerate orbits.
     """
     rows: list[ScanRow] = []
-    ferus_of: dict[int, int] = {}
-    scan = orbits.sweep(
-        db.instantiations(p_range, n_range), lambda pair: _SCAN_ORBITS[pair.rstype.family]
-    )
-    for pair, orbit_spec, report in scan:
-        f = ferus_of.get(report.l)
-        if f is None:
-            f = ferus_of[report.l] = ferus(report.l).F
-        rows.append(
-            ScanRow(
-                pair=pair.family.key,
-                p=pair.p,
-                n=pair.n,
-                orbit=orbit_spec,
-                degenerate=report.degenerate,
-                l=report.l,
-                r=report.r,
-                ferus_l=f,
-                equality=report.degenerate and f == report.r,
-            )
-        )
+    ferus_of = cache(lambda l: ferus(l).F)  # F once per distinct l
+    for family in db:
+        classes = rootsys.CLASSES[family.family]
+        labels = rootsys.length_labels(length for _, length, _ in classes)
+        mult = {labels[length]: m for (_, length, _), (_, m) in zip(classes, family.mult)}
+        scanned = []
+        for spec, counts in rootsys.HIGHEST_COUNTS[family.family].items():
+            l = family.class_sum(counts)
+            degenerate = orbits.rule_for(spec, family.family) in orbits.DEGENERATE_RULES
+            scanned.append((spec, degenerate, l, l - mult[spec] if degenerate else l))
+        for p, n in family.grid(p_range, n_range):
+            for spec, degenerate, l_of, r_of in scanned:
+                l, r = l_of(p, n), r_of(p, n)
+                f = ferus_of(l)
+                rows.append(ScanRow(family.key, p, n, spec, degenerate, l, r, f,
+                                    degenerate and f == r))
     return rows

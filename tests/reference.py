@@ -10,7 +10,8 @@ setting that the tests check against `rootsys` and `orbits`;
 `multiplicity` reads m(root) of a pair by its root, where the package
 reads it by class index; `reflection_closure` is the closure of the
 simple roots under `rootsys.reflect`, which the package walks on
-integer numerators instead.
+integer numerators instead; `root_class` names a root's length class,
+which the package only reads off a table of each class's highest root.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from gaussorbits.rootsys import (
 
 def rootvec(*coords) -> RootVec:
     return RootVec(coords)
+
+
+def root_class(system: RootSystem, v: RootVec) -> str:
+    """Length label ("long", "middle" or "short") of the root v; ValueError for a non-root."""
+    return system._class_labels[system.class_index(v)]
 
 
 @lru_cache(maxsize=None)

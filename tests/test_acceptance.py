@@ -69,13 +69,13 @@ def test_c2_conditions_select_exactly_g2_short(db):
         ] + [rootsys.build("F4"), rootsys.build("G2")]
         for system in systems:
             for lam in system.positive_roots:
-                if system.root_class(lam) == "long":
+                if reference.root_class(system, lam) == "long":
                     continue
                 if reference.cond_a(system, lam) and orbits.cond_b(system, lam):
                     survivors.append((system.rstype.label(), lam))
         g2 = rootsys.build("G2")
         assert survivors == [
-            ("G2", lam) for lam in g2.positive_roots if g2.root_class(lam) == "short"
+            ("G2", lam) for lam in g2.positive_roots if reference.root_class(g2, lam) == "short"
         ]
         assert len(survivors) == 3
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from gaussorbits import ferus, pairdb
+from gaussorbits import ferus, orbits, pairdb, rootsys
 
 # Independent oracle: 2-adic valuation by repeated division, then the
 # closed form, then a full ascending scan for the minimum.
@@ -194,21 +194,43 @@ class TestEqualityScan:
             ("short", 5, 4, True),
         }
 
-    def test_scan_orbits_derived_from_the_classes(self):
-        # The table the scan swept when it was written by hand: one orbit per
-        # class, longest first, BC's e_i left out (it shares 2e_i's line).
-        assert ferus._SCAN_ORBITS == {
-            "A": ("long",),
-            "D": ("long",),
-            "E6": ("long",),
-            "E7": ("long",),
-            "E8": ("long",),
-            "B": ("long", "short"),
-            "C": ("long", "short"),
-            "F4": ("long", "short"),
-            "G2": ("long", "short"),
-            "BC": ("long", "middle"),
-        }
+    def test_scan_keys_are_the_classes_that_own_a_ray(self):
+        # The scan sweeps the highest root of each class that keeps its ray
+        # in the system's table, longest first; BC's e_i loses its ray to 2e_i.
+        assert list(rootsys.HIGHEST_COUNTS) == list(rootsys.CLASSES)
+        for family, rows in rootsys.HIGHEST_COUNTS.items():
+            fixed = rootsys._FIXED_RANK.get(family)
+            for rank in [fixed] if fixed else [3, 8, rootsys.MAX_RANK]:
+                system = rootsys.build(family, rank)
+                owners = {system._class_labels[c] for _, c in system._ray_highest.values()}
+                assert set(rows) == owners, (family, rank)
+            assert list(rows) == sorted(rows, key=("long", "middle", "short").index), family
+
+    def test_matches_the_sweep_on_the_wide_grid(self, db):
+        # The classified check of the scan: the same (pair, spec) points
+        # through orbits.sweep, which builds, folds, classifies and checks
+        # (a)/(b), row for row.
+        grid = (2, 30), (0, 30)
+        swept = orbits.sweep(db.instantiations(*grid),
+                             lambda pair: tuple(rootsys.HIGHEST_COUNTS[pair.rstype.family]))
+        expected = [
+            ferus.ScanRow(pair.family.key, pair.p, pair.n, spec, rep.degenerate, rep.l, rep.r,
+                          ferus.ferus(rep.l).F, rep.degenerate and ferus.ferus(rep.l).F == rep.r)
+            for pair, spec, rep in swept
+        ]
+        assert len(expected) == 5794
+        assert ferus.equality_scan(db, *grid) == expected
+
+    def test_builds_and_classifies_nothing(self, db, monkeypatch):
+        rows = ferus.equality_scan(db)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan built a system or classified a point")
+
+        for module, name in ((rootsys, "build"), (orbits, "_orbit_facts"),
+                             (orbits, "classify"), (orbits, "sweep")):
+            monkeypatch.setattr(module, name, refuse)
+        assert ferus.equality_scan(db) == rows
 
     def test_custom_grid(self, db):
         rows = ferus.equality_scan(db, p_range=(2, 3), n_range=(1, 2))

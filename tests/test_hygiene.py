@@ -137,9 +137,10 @@ def test_a_bench_definition_does_not_mask_a_package_name():
 
 
 def test_the_sweep_owns_the_only_orbit_cache():
-    # No function takes a memo.  The table builders and the scan reach the
-    # rule through orbits.sweep, whose one dict serves each walk, so only
-    # the one-point `classify` command calls classify.
+    # No function takes a memo.  The table builders reach the rule through
+    # orbits.sweep, whose one dict serves each walk, and the scan through
+    # orbits.rule_for alone, so only the one-point `classify` command calls
+    # classify.
     memos, calls = [], []
     for path in MODULES:
         for node in _nodes(path):
@@ -204,8 +205,8 @@ def test_every_mutant_still_applies():
 
 
 def test_one_parser_and_one_expression_language():
-    # Only expr.py parses: pairs.dat, the class counts and Table 1 share
-    # its polynomials, so no count is a lambda.
+    # Only expr.py parses: pairs.dat, the class counts, the count rows and
+    # Table 1 share its polynomials, so no count is a lambda.
     from gaussorbits import expr, rootsys
 
     parsers = [
@@ -214,6 +215,7 @@ def test_one_parser_and_one_expression_language():
         or isinstance(node, ast.ImportFrom) and node.module == "ast"
     ]
     assert parsers == ["expr.py"]
-    counts = [count for classes in rootsys.CLASSES.values() for _, _, *pair in classes
-              for count in pair]
+    counts = [count for classes in rootsys.CLASSES.values() for _, _, count in classes]
+    counts += [count for rows in rootsys.HIGHEST_COUNTS.values() for row in rows.values()
+               for count in row]
     assert all(isinstance(count, expr.Polynomial) for count in counts)

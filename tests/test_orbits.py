@@ -18,7 +18,7 @@ from gaussorbits.orbits import (
     RULE_SHORT_NON_G2,
 )
 from gaussorbits.rootsys import InvariantViolation, RootVec
-from reference import rootvec
+from reference import root_class, rootvec
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ def _canonical_class_rep(system, spec):
     # Reference for resolve_orbit: positive_roots ascend in sort_key order,
     # so the last root of the class is its maximum.
     for v in reversed(system.positive_roots):
-        if system.root_class(v) == spec:
+        if root_class(system, v) == spec:
             return v
     raise ValueError(f"no {spec} roots in {system.rstype.label()}")
 
@@ -416,7 +416,7 @@ class TestCanonicalClassRep:
         for system in systems:
             for spec in ("long", "middle", "short"):
                 members = [v for v in system.positive_roots
-                           if system.root_class(v) == spec]
+                           if root_class(system, v) == spec]
                 if not members:
                     with pytest.raises(ValueError, match="^x|y: no .* roots in"):
                         orbits.resolve_orbit(_stub_pair(system), spec)
@@ -493,7 +493,7 @@ class TestConditions:
     def test_g2_short_passes_both(self):
         system = rootsys.build("G2")
         for lam in system.positive_roots:
-            if system.root_class(lam) == "long":
+            if root_class(system, lam) == "long":
                 continue
             assert reference.cond_a(system, lam)
             assert orbits.cond_b(system, lam)
@@ -549,13 +549,13 @@ class TestConditions:
         systems += [rootsys.build("F4"), rootsys.build("G2")]
         for system in systems:
             for lam in system.positive_roots:
-                if system.root_class(lam) == "long":
+                if root_class(system, lam) == "long":
                     continue
                 if reference.cond_a(system, lam) and orbits.cond_b(system, lam):
                     survivors.append((system.rstype.label(), lam))
         g2 = rootsys.build("G2")
         assert survivors == [
-            ("G2", lam) for lam in g2.positive_roots if g2.root_class(lam) == "short"
+            ("G2", lam) for lam in g2.positive_roots if root_class(g2, lam) == "short"
         ]
 
     def test_one_sided_test_of_b_matches_two_sided(self):
@@ -939,8 +939,8 @@ class TestMemo:
             assert (inst.l, inst.r, inst.degeneracy) == (rep.l, rep.r, rep.nullity)
 
     def test_a_scan_runs_the_root_pass_once_per_orbit(self, db, monkeypatch):
-        # The scan's one cache: a (system, folded ray) that many pairs and
-        # every n share costs one _orbit_facts call.
+        # The sweep's one cache, under table1 over a grid: a (system, folded
+        # ray) that many pairs and every n share costs one _orbit_facts call.
         calls = []
         orbit_facts = orbits._orbit_facts
 
@@ -950,20 +950,19 @@ class TestMemo:
 
         monkeypatch.setattr(orbits, "_orbit_facts", counted)
         grid = (2, 6), (0, 4)
-        rows = ferus.equality_scan(db, *grid)
+        rows = report.table1_instances(db, *grid)
         keys = set()
         for pair in db.instantiations(*grid):
             system = pair.system()
-            for spec in ferus._SCAN_ORBITS[pair.rstype.family]:
-                H = orbits.weyl_fold(system, orbits.resolve_orbit(pair, spec))
-                keys.add((system, rootsys.primitive_ray(H)))
+            H = orbits.weyl_fold(system, orbits.resolve_orbit(pair, "highest"))
+            keys.add((system, rootsys.primitive_ray(H)))
         assert len(rows) > len(keys)
         assert len(calls) == len(set(calls)) == len(keys)
         assert set(calls) == keys
 
     def test_a_scan_resolves_and_folds_once_per_system_and_spec(self, db, monkeypatch):
-        # A later row of a (system, spec) reads the sweep's cache: it
-        # neither resolves nor folds again.
+        # Under table1 over a grid, a later row of a (system, spec) reads the
+        # sweep's cache: it neither resolves nor folds again.
         resolved, folded = [], []
         resolve_orbit, weyl_fold = orbits.resolve_orbit, orbits.weyl_fold
 
@@ -978,9 +977,8 @@ class TestMemo:
         monkeypatch.setattr(orbits, "resolve_orbit", counted_resolve)
         monkeypatch.setattr(orbits, "weyl_fold", counted_fold)
         grid = (2, 6), (0, 4)
-        rows = ferus.equality_scan(db, *grid)
-        keys = {(pair.system(), spec) for pair in db.instantiations(*grid)
-                for spec in ferus._SCAN_ORBITS[pair.rstype.family]}
+        rows = report.table1_instances(db, *grid)
+        keys = {(pair.system(), "highest") for pair in db.instantiations(*grid)}
         assert len(rows) > 2 * len(keys)
         assert len(resolved) == len(set(resolved)) == len(keys)
         assert set(resolved) == keys

@@ -9,7 +9,7 @@ import reference
 from exact_linalg import rref
 from gaussorbits import rootsys as rs
 from gaussorbits.rootsys import RootVec
-from reference import rootvec, simple_coefficients
+from reference import root_class, rootvec, simple_coefficients
 
 ALL_TYPES = (
     [("A", p) for p in range(1, 9)]
@@ -142,7 +142,7 @@ class TestInner:
 
     def test_g2_length_ratio(self):
         g2 = rs.build("G2")
-        short = next(v for v in g2.positive_roots if g2.root_class(v) == "short")
+        short = next(v for v in g2.positive_roots if root_class(g2, v) == "short")
         assert rs.norm_sq(g2.highest_root) / rs.norm_sq(short) == 3
 
     @given(vectors)
@@ -163,8 +163,8 @@ class TestBuild:
         assert len(system.positive_roots) == COUNTS[family](rank)
 
     @pytest.mark.parametrize("long_class,message", [
-        (("long", 6, lambda p: 4, lambda p: 3), "3 positive roots of class long, expected 4"),
-        (("long", 5, lambda p: 3, lambda p: 3), "fits no length class"),
+        (("long", 6, lambda p: 4), "3 positive roots of class long, expected 4"),
+        (("long", 5, lambda p: 3), "fits no length class"),
     ])
     def test_class_table_disagreement_is_invariant_violation(
         self, monkeypatch, long_class, message
@@ -320,8 +320,8 @@ class TestOrderAndClasses:
 
     def test_long_short_partitions(self):
         def partition(system):
-            long = [v for v in system.positive_roots if system.root_class(v) == "long"]
-            rest = [v for v in system.positive_roots if system.root_class(v) != "long"]
+            long = [v for v in system.positive_roots if root_class(system, v) == "long"]
+            rest = [v for v in system.positive_roots if root_class(system, v) != "long"]
             return long, rest
 
         long, rest = partition(rs.build("A", 3))
@@ -338,11 +338,11 @@ class TestOrderAndClasses:
 
     def test_root_class_labels(self):
         bc2 = rs.build("BC", 2)
-        assert bc2.root_class(rootvec(2, 0)) == "long"
-        assert bc2.root_class(rootvec(1, 1)) == "middle"
-        assert bc2.root_class(rootvec(1, 0)) == "short"
+        assert root_class(bc2, rootvec(2, 0)) == "long"
+        assert root_class(bc2, rootvec(1, 1)) == "middle"
+        assert root_class(bc2, rootvec(1, 0)) == "short"
         with pytest.raises(ValueError):
-            bc2.root_class(rootvec(3, 0))
+            root_class(bc2, rootvec(3, 0))
 
     def test_simple_coefficients_rejects_outside_span(self):
         a2 = rs.build("A", 2)
@@ -358,7 +358,7 @@ class TestOrderAndClasses:
 
 
 class TestHighestRootCounts:
-    """The last count of each CLASSES entry, the roots not orthogonal to theta."""
+    """Each count row of HIGHEST_COUNTS, recounted on built systems."""
 
     # The dual Coxeter number h of each reduced family at rank p (Kac,
     # Infinite-dimensional Lie algebras, Table Aff 1).
@@ -368,22 +368,41 @@ class TestHighestRootCounts:
 
     @pytest.mark.parametrize("family", rs.FAMILIES)
     def test_counts_match_built_systems(self, family):
+        # Per class, the positive roots not orthogonal to each scanned
+        # class's highest root.
         fixed = rs._FIXED_RANK.get(family)
         lowest = 3 if family == "D" else 2
         for rank in [fixed] if fixed else [*range(lowest, 31), rs.MAX_RANK]:
             system = rs.build(family, rank)
-            tally = [0] * len(rs.CLASSES[family])
-            for v, c in zip(system.positive_roots, system.positive_classes):
-                tally[c] += not rs.is_orthogonal(v, system.highest_root)
-            assert tally == [theta(rank) for *_, theta in rs.CLASSES[family]], rank
-            assert system.class_index(system.highest_root) == len(tally) - 1
+            for label, row in rs.HIGHEST_COUNTS[family].items():
+                top = system._class_highest[label]
+                tally = [0] * len(rs.CLASSES[family])
+                for v, c in zip(system.positive_roots, system.positive_classes):
+                    tally[c] += not rs.is_orthogonal(v, top)
+                assert tally == [count(rank) for count in row], (rank, label)
+            long = [count(rank) for count in rs.HIGHEST_COUNTS[family]["long"]]
+            assert system._class_highest["long"] == system.highest_root
+            assert system.class_index(system.highest_root) == len(long) - 1
             if family != "BC":
-                assert sum(tally) == 2 * self.DUAL_COXETER[family](rank) - 3, rank
+                assert sum(long) == 2 * self.DUAL_COXETER[family](rank) - 3, rank
+
+    @pytest.mark.parametrize("family,dual", [("B", "C"), ("C", "B"), ("F4", "F4"), ("G2", "G2")])
+    def test_a_short_row_is_the_dual_long_row_reversed(self, family, dual):
+        # A coroot is orthogonal to what its root is orthogonal to, and the
+        # coroots of a system form its dual, long and short swapped.
+        rows = rs.HIGHEST_COUNTS
+        assert rows[family]["short"] == rows[dual]["long"][::-1]
+
+    def test_the_bc_middle_row_is_b_long_and_the_2e_i(self):
+        # BC is B with each 2e_i added, and 2e_i is orthogonal to what e_i is.
+        middle, b_long = rs.HIGHEST_COUNTS["BC"]["middle"], rs.HIGHEST_COUNTS["B"]["long"]
+        assert middle[:2] == b_long
+        assert middle[2] == middle[0]
 
     def test_lengths_ascend(self):
         # Table 1 reads the last class as the highest root's, the longest.
         for family, classes in rs.CLASSES.items():
-            lengths = [length for _, length, _, _ in classes]
+            lengths = [length for _, length, _ in classes]
             assert lengths == sorted(set(lengths)), family
 
 
@@ -610,7 +629,7 @@ class TestIntegerOrder:
         ks = keys(ordered)
         assert all(a < b for a, b in zip(ks, ks[1:]))
         norms = tuple(sum(c * c for c in k if c) for k in ks)
-        index = {length: i for i, (_, length, _, _) in enumerate(rs.CLASSES[family])}
+        index = {length: i for i, (_, length, _) in enumerate(rs.CLASSES[family])}
         assert system.positive_classes == tuple(index[m] for m in norms)
         assert system.highest_root == highest == ordered[-1]
         if rank > 4:
@@ -725,8 +744,8 @@ class TestCheckBuild:
         simple = list(system.simple_roots)
         highest = max(simple, key=system.sort_key)
         classes = [
-            (tag, length, lambda p, k=sum(system.class_index(s) == i for s in simple): k, theta)
-            for i, (tag, length, _, theta) in enumerate(rs.CLASSES[family])
+            (tag, length, lambda p, k=sum(system.class_index(s) == i for s in simple): k)
+            for i, (tag, length, _) in enumerate(rs.CLASSES[family])
         ]
         monkeypatch.setitem(
             rs._CONSTRUCTORS, family,
@@ -843,7 +862,7 @@ class TestCheckBuild:
         monkeypatch.setitem(
             rs._CONSTRUCTORS, "A", lambda p: ([a, b], [a, b], None, a, (0, 1, 2, 3))
         )
-        monkeypatch.setitem(rs.CLASSES, "A", (("all", 2, lambda p: 2, lambda p: 1),))
+        monkeypatch.setitem(rs.CLASSES, "A", (("all", 2, lambda p: 2),))
         rs._build_cached.cache_clear()
         try:
             with pytest.raises(
